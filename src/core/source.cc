@@ -583,22 +583,9 @@ int64_t SourceAgent::SendRefreshesToSink(double now, Link* source_link,
   return SendRefreshesEventKeyed(channel, now, source_link, sink);
 }
 
-int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
-                                       Link* cache_link, int channel_index) {
-  return SendInvalidationsToSink(now, source_link, EmitSink{cache_link, nullptr},
-                                 channel_index);
-}
-
 int64_t SourceAgent::SendInvalidationsBuffered(double now, Link* source_link,
                                                std::vector<Message>* out,
                                                int channel_index) {
-  return SendInvalidationsToSink(now, source_link, EmitSink{nullptr, out},
-                                 channel_index);
-}
-
-int64_t SourceAgent::SendInvalidationsToSink(double now, Link* source_link,
-                                             const EmitSink& sink,
-                                             int channel_index) {
   BESYNC_DCHECK(channel_index >= 0 && channel_index < num_channels());
   BESYNC_CHECK(protocol_ != nullptr && protocol_->emits_invalidations());
   Channel* channel = &channels_[channel_index];
@@ -650,7 +637,7 @@ int64_t SourceAgent::SendInvalidationsToSink(double now, Link* source_link,
       }
     }
     channel->last_emit_time = now;
-    sink.Deliver(std::move(message));
+    out->push_back(std::move(message));
     ++messages;
   }
   return messages;

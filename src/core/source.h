@@ -132,23 +132,22 @@ class SourceAgent {
                         int channel = 0);
 
   /// SendRefreshes with the emitted messages appended to `out` instead of
-  /// enqueued on the cache link — the compute half of the sharded send
+  /// enqueued on the cache link — the compute half of the scheduler's send
   /// phase. Everything the call touches (channel queues, trackers,
   /// controller, the source link's budget) is private to this source, so
   /// buffered sends run concurrently across sources; the scheduler then
-  /// enqueues the buffers onto the (shared) cache links serially, in the
-  /// shuffled source order, reproducing the serial phase bit for bit.
+  /// enqueues the buffers onto the (shared) cache links in the shuffled
+  /// source order.
   int64_t SendRefreshesBuffered(double now, Link* source_link,
                                 std::vector<Message>* out, int channel = 0);
 
   /// Invalidation-protocol send phase for channel `channel`: drains the
   /// channel's pending-invalidation queue into kInvalidate messages (up to
-  /// max_invalidate_batch replica notifications per message) while the
-  /// shared source-side budget allows. Mirrors SendRefreshes' channel-0
-  /// tick-opening contract and the buffered/direct sink split. Returns the
-  /// number of messages emitted. Requires an invalidation protocol.
-  int64_t SendInvalidations(double now, Link* source_link, Link* cache_link,
-                            int channel = 0);
+  /// max_invalidate_batch replica notifications per message), appended to
+  /// `out`, while the shared source-side budget allows. Mirrors
+  /// SendRefreshesBuffered's channel-0 tick-opening contract and source
+  /// privacy. Returns the number of messages emitted. Requires an
+  /// invalidation protocol.
   int64_t SendInvalidationsBuffered(double now, Link* source_link,
                                     std::vector<Message>* out, int channel = 0);
 
@@ -312,8 +311,8 @@ class SourceAgent {
                                double now) const;
 
   /// Destination of emitted refreshes: the cache's tier-1 edge link
-  /// (serial send phase, direct enqueue) or a per-source buffer the
-  /// scheduler flushes in the canonical order (sharded send phase).
+  /// (SendRefreshes, direct enqueue) or a per-source buffer the scheduler
+  /// flushes in the shuffled source order (SendRefreshesBuffered).
   struct EmitSink {
     Link* link = nullptr;
     std::vector<Message>* buffer = nullptr;
@@ -342,8 +341,6 @@ class SourceAgent {
   void PushWake(Channel* channel, ObjectIndex index, double now);
   int64_t SendRefreshesToSink(double now, Link* source_link, const EmitSink& sink,
                               int channel);
-  int64_t SendInvalidationsToSink(double now, Link* source_link,
-                                  const EmitSink& sink, int channel);
   /// Whether the push-refresh machinery (queues, wake-ups, sampling) drives
   /// this source. True without a protocol — the historical default.
   bool push_protocol() const {

@@ -8,20 +8,12 @@
 namespace besync {
 namespace {
 
-/// Split key of send-order child stream 0 ("SORD"); logical shard ls uses
-/// kSendOrderSplitKey + ls. Changing it changes every send_order_shards > 0
-/// run (the default path never splits).
-constexpr uint64_t kSendOrderSplitKey = 0x534F5244ULL;
-/// Per-ring slot count of the send-order cross-shard rings. Overflow is
-/// handled (spill vectors), so this only tunes how much traffic moves
-/// through the lock-free path.
-constexpr size_t kSendRingCapacity = 256;
-
 /// Records the kDeliver + kApply pair for a refresh-shaped message (primary
-/// payload and batch mates). Lives at the apply site — the one point with an
-/// identical per-cache message order in the serial and sharded engines — so
-/// trace bytes are independent of run_threads; kDeliver and kApply share the
-/// timestamp because the engine applies at arrival.
+/// payload and batch mates). Lives at the apply site, which walks each
+/// cache's collected messages in link order on the lane owning the cache and
+/// writes only that cache's buffer, so trace bytes are independent of
+/// run_threads; kDeliver and kApply share the timestamp because the engine
+/// applies at arrival.
 void RecordDeliveryTrace(TraceBuffer* trace, const Message& message, double t) {
   TraceEvent event;
   event.t = t;
@@ -198,55 +190,17 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     resync_notes_.assign(static_cast<size_t>(num_caches), ResyncNote{});
   }
 
-  // Intra-run sharding team. The sharded phases are bitwise identical to
-  // the sequential ones (see SendPhaseSharded / ApplyDeliveriesSharded),
-  // so run_threads is a pure throughput knob. The team is clamped to the
-  // widest shardable axis: lanes past it would get empty ShardRange slices
-  // and idle through every barrier (see ShardPool::ShardRange).
-  shard_pool_.reset();
-  send_rings_.clear();
-  send_spill_.clear();
-  send_order_rngs_.clear();
-  send_order_sources_.clear();
-  const int team =
+  // The sharding team every tick phase runs on. One lane runs each phase
+  // inline on this thread; more lanes split sources, caches and topology
+  // nodes into slices with a barrier per phase, bitwise identical at any
+  // lane count, so run_threads is a pure throughput knob. The team is
+  // clamped to the widest shardable axis: lanes past it would get empty
+  // ShardRange slices and idle through every barrier.
+  shard_pool_ = std::make_unique<ShardPool>(
       std::min(config_.run_threads,
-               std::max({m, num_caches, network_->num_nodes()}));
-  if (team > 1) {
-    shard_pool_ = std::make_unique<ShardPool>(team);
-    deliver_buffers_.assign(static_cast<size_t>(num_caches), {});
-  }
-  if (shard_pool_ != nullptr || config_.send_order_shards > 0) {
-    send_buffers_.assign(static_cast<size_t>(m), {});
-  }
-  if (config_.send_order_shards > 0) {
-    const int order_shards = config_.send_order_shards;
-    send_order_rngs_.reserve(static_cast<size_t>(order_shards));
-    send_order_sources_.resize(static_cast<size_t>(order_shards));
-    for (int ls = 0; ls < order_shards; ++ls) {
-      // Child streams are keyed by the LOGICAL shard id, never the lane:
-      // the draws each shard makes are pinned regardless of run_threads.
-      send_order_rngs_.push_back(harness->scheduler_rng()->Split(
-          kSendOrderSplitKey + static_cast<uint64_t>(ls)));
-      const auto range =
-          ShardPool::ShardRange(static_cast<int64_t>(m), ls, order_shards);
-      std::vector<int>& list = send_order_sources_[ls];
-      list.clear();
-      list.reserve(static_cast<size_t>(range.second - range.first));
-      for (int64_t j = range.first; j < range.second; ++j) {
-        list.push_back(static_cast<int>(j));
-      }
-    }
-    if (shard_pool_ != nullptr) {
-      const size_t rings = static_cast<size_t>(order_shards) *
-                           static_cast<size_t>(shard_pool_->num_shards());
-      send_rings_.reserve(rings);
-      for (size_t i = 0; i < rings; ++i) {
-        send_rings_.push_back(
-            std::make_unique<SpscRing<Message>>(kSendRingCapacity));
-      }
-      send_spill_.assign(rings, {});
-    }
-  }
+               std::max({m, num_caches, network_->num_nodes()})));
+  send_buffers_.assign(static_cast<size_t>(m), {});
+  deliver_buffers_.assign(static_cast<size_t>(num_caches), {});
 
   // Observability (config_.obs.enabled only): build the collector, fix the
   // time-series columns, and hand every recording site its per-entity trace
@@ -330,41 +284,20 @@ void CooperativeScheduler::FillFeedback(Message* /*feedback*/, int /*source_inde
                                         double /*t*/) {}
 
 void CooperativeScheduler::SendPhase(double t) {
-  if (config_.send_order_shards > 0) {
-    SendPhaseShardOrdered(t, /*invalidations=*/false);
-    return;
-  }
-  if (shard_pool_ != nullptr) {
-    SendPhaseSharded(t);
-    return;
-  }
-  // Random source visiting order so no source systematically wins the race
-  // for queue positions on a shared cache link.
-  harness_->scheduler_rng()->Shuffle(&source_order_);
-  for (int j : source_order_) {
-    SourceAgent& agent = *sources_[j];
-    Link* source_link = &network_->source_link(j);
-    for (int k = 0; k < agent.num_channels(); ++k) {
-      // Refreshes enter the network at the cache's tier-1 ancestor edge
-      // (the cache link itself when flat) and are relayed the rest of the
-      // way by the relay phase.
-      agent.SendRefreshes(t, source_link,
-                          &network_->first_hop_link(agent.channel_cache_id(k)), k);
-    }
-  }
+  SendBuffered(t, &SourceAgent::SendRefreshesBuffered);
 }
 
-void CooperativeScheduler::SendPhaseSharded(double t) {
+void CooperativeScheduler::SendBuffered(double t, BufferedSend send) {
   // Compute: each shard owns a contiguous source-id slice. A source's
   // emission decisions depend only on its own state (queues, trackers,
   // controllers, its source link) — never on what other sources emitted
   // this tick — so the partition may ignore the shuffled visiting order.
   // The shuffle itself runs as a prelude overlapped with the workers: it
-  // draws from the scheduler RNG on the main thread (the same stream
-  // position as the serial phase — the buffered emissions draw nothing)
-  // and writes source_order_, which only the post-barrier flush reads.
+  // draws from the scheduler RNG on the calling thread (the buffered
+  // emissions draw nothing) and writes source_order_, which only the
+  // post-barrier flush reads.
   shard_pool_->Run(
-      [this, t](int shard) {
+      [this, t, send](int shard) {
         const auto range = ShardPool::ShardRange(
             static_cast<int64_t>(sources_.size()), shard, shard_pool_->num_shards());
         for (int64_t j = range.first; j < range.second; ++j) {
@@ -372,27 +305,28 @@ void CooperativeScheduler::SendPhaseSharded(double t) {
           std::vector<Message>& buffer = send_buffers_[j];
           Link* source_link = &network_->source_link(static_cast<int>(j));
           for (int k = 0; k < agent.num_channels(); ++k) {
-            agent.SendRefreshesBuffered(t, source_link, &buffer, k);
+            (agent.*send)(t, source_link, &buffer, k);
           }
         }
       },
+      // Random source visiting order so no source systematically wins the
+      // race for queue positions on a shared tier-1 edge.
       [this] { harness_->scheduler_rng()->Shuffle(&source_order_); });
-  // Flush: enqueue onto the shared tier-1 edges in the shuffled source
-  // order — the exact order the serial phase enqueues in. Within a source
-  // the buffer holds its channels' messages in emission order. The flush
-  // itself is sharded by first-hop node.
-  FlushSendBuffersSharded();
+  FlushSendBuffers();
 }
 
-void CooperativeScheduler::FlushSendBuffersSharded() {
+void CooperativeScheduler::FlushSendBuffers() {
   const int64_t num_nodes = network_->num_nodes();
   shard_pool_->Run([this, num_nodes](int shard) {
-    // Every shard walks the full shuffled order and takes only the
+    // Messages enter the network at their cache's tier-1 edge (the cache
+    // link itself when flat); the relay phase carries them the rest of the
+    // way. Every shard walks the full shuffled order and takes only the
     // messages whose first-hop node it owns: link L sees its messages in
-    // the global scan order, and only shard OwnerOf(L) touches L. Reading
-    // message.cache_id next to another shard's move is race-free —
-    // cache_id and the moved vector header are distinct bytes, and
-    // cache_id is never written here.
+    // the global scan order, and only the shard owning L touches L.
+    // Within a source the buffer holds its channels' messages in emission
+    // order. Reading message.cache_id next to another shard's move is
+    // race-free — cache_id and the moved vector header are distinct bytes,
+    // and cache_id is never written here.
     const auto range =
         ShardPool::ShardRange(num_nodes, shard, shard_pool_->num_shards());
     for (int j : source_order_) {
@@ -406,132 +340,7 @@ void CooperativeScheduler::FlushSendBuffersSharded() {
   for (int j : source_order_) send_buffers_[j].clear();
 }
 
-void CooperativeScheduler::SendInvalidationPhase(double t) {
-  // Same fairness and determinism contract as the refresh send phase: the
-  // visiting order is shuffled (invalidations race for shared tier-1 edge
-  // queue positions exactly like refreshes), the sharded mode overlaps the
-  // shuffle with the buffered per-source drains, and the buffers flush in
-  // the shuffled order.
-  if (config_.send_order_shards > 0) {
-    SendPhaseShardOrdered(t, /*invalidations=*/true);
-    return;
-  }
-  if (shard_pool_ != nullptr) {
-    shard_pool_->Run(
-        [this, t](int shard) {
-          const auto range = ShardPool::ShardRange(
-              static_cast<int64_t>(sources_.size()), shard,
-              shard_pool_->num_shards());
-          for (int64_t j = range.first; j < range.second; ++j) {
-            SourceAgent& agent = *sources_[j];
-            std::vector<Message>& buffer = send_buffers_[j];
-            Link* source_link = &network_->source_link(static_cast<int>(j));
-            for (int k = 0; k < agent.num_channels(); ++k) {
-              agent.SendInvalidationsBuffered(t, source_link, &buffer, k);
-            }
-          }
-        },
-        [this] { harness_->scheduler_rng()->Shuffle(&source_order_); });
-    FlushSendBuffersSharded();
-    return;
-  }
-  harness_->scheduler_rng()->Shuffle(&source_order_);
-  for (int j : source_order_) {
-    SourceAgent& agent = *sources_[j];
-    Link* source_link = &network_->source_link(j);
-    for (int k = 0; k < agent.num_channels(); ++k) {
-      agent.SendInvalidations(t, source_link,
-                              &network_->first_hop_link(agent.channel_cache_id(k)),
-                              k);
-    }
-  }
-}
-
-void CooperativeScheduler::SendPhaseShardOrdered(double t, bool invalidations) {
-  const int order_shards = config_.send_order_shards;
-  if (shard_pool_ == nullptr) {
-    // Sequential reference: logical shards in ascending order, each
-    // shuffling its pinned source slice with its own child stream. The
-    // pooled path below reproduces this exact per-link enqueue order.
-    for (int ls = 0; ls < order_shards; ++ls) {
-      std::vector<int>& order = send_order_sources_[ls];
-      send_order_rngs_[ls].Shuffle(&order);
-      for (int j : order) {
-        SourceAgent& agent = *sources_[j];
-        Link* source_link = &network_->source_link(j);
-        for (int k = 0; k < agent.num_channels(); ++k) {
-          Link* first_hop = &network_->first_hop_link(agent.channel_cache_id(k));
-          if (invalidations) {
-            agent.SendInvalidations(t, source_link, first_hop, k);
-          } else {
-            agent.SendRefreshes(t, source_link, first_hop, k);
-          }
-        }
-      }
-    }
-    return;
-  }
-  const int lanes = shard_pool_->num_shards();
-  const int64_t num_nodes = network_->num_nodes();
-  // Produce: lane p serves logical shards ShardRange(order_shards, p,
-  // lanes) in ascending order, so every logical shard has exactly one
-  // producer and a pinned draw sequence. Each emitted message is routed to
-  // the lane owning its first-hop node through ring (ls, d); a full ring
-  // spills, preserving order (the consumer side is quiet until the
-  // barrier, so ring contents always precede the spill).
-  shard_pool_->Run([this, t, invalidations, order_shards, lanes,
-                    num_nodes](int p) {
-    const auto ls_range = ShardPool::ShardRange(order_shards, p, lanes);
-    for (int64_t ls = ls_range.first; ls < ls_range.second; ++ls) {
-      std::vector<int>& order = send_order_sources_[ls];
-      send_order_rngs_[ls].Shuffle(&order);
-      for (int j : order) {
-        SourceAgent& agent = *sources_[j];
-        std::vector<Message>& buffer = send_buffers_[j];
-        Link* source_link = &network_->source_link(j);
-        for (int k = 0; k < agent.num_channels(); ++k) {
-          if (invalidations) {
-            agent.SendInvalidationsBuffered(t, source_link, &buffer, k);
-          } else {
-            agent.SendRefreshesBuffered(t, source_link, &buffer, k);
-          }
-        }
-        for (Message& message : buffer) {
-          const int32_t node = network_->first_hop(message.cache_id);
-          const int d = ShardPool::ShardOf(num_nodes, node, lanes);
-          const size_t ring =
-              static_cast<size_t>(ls) * static_cast<size_t>(lanes) +
-              static_cast<size_t>(d);
-          if (!send_rings_[ring]->TryPush(std::move(message))) {
-            send_spill_[ring].push_back(std::move(message));
-          }
-        }
-        buffer.clear();
-      }
-    }
-  });
-  // Merge: lane d drains its ring column in logical-shard-major order —
-  // the same ls-ascending, within-ls-shuffled order as the sequential
-  // reference — touching only the links of its own node slice.
-  shard_pool_->Run([this, order_shards, lanes](int d) {
-    for (int ls = 0; ls < order_shards; ++ls) {
-      const size_t index =
-          static_cast<size_t>(ls) * static_cast<size_t>(lanes) +
-          static_cast<size_t>(d);
-      SpscRing<Message>& ring = *send_rings_[index];
-      Message message;
-      while (ring.TryPop(&message)) {
-        network_->first_hop_link(message.cache_id).Enqueue(std::move(message));
-      }
-      for (Message& spilled : send_spill_[index]) {
-        network_->first_hop_link(spilled.cache_id).Enqueue(std::move(spilled));
-      }
-      send_spill_[index].clear();
-    }
-  });
-}
-
-void CooperativeScheduler::CollectDeliveriesSharded() {
+void CooperativeScheduler::CollectDeliveries() {
   shard_pool_->Run([this](int shard) {
     const auto range = ShardPool::ShardRange(
         static_cast<int64_t>(caches_.size()), shard, shard_pool_->num_shards());
@@ -543,15 +352,15 @@ void CooperativeScheduler::CollectDeliveriesSharded() {
   });
 }
 
-void CooperativeScheduler::ApplyDeliveriesSharded(double t) {
+void CooperativeScheduler::ApplyDeliveries(double t) {
   // Hoist the one cross-cache step of the apply: GroundTruth integrating
-  // its running sums up to t. The serial loop does this implicitly inside
-  // the FIRST OnCacheApply of the tick — so the hoist must fire exactly
-  // when such a first apply exists (a live, agent-bearing cache with a
-  // non-invalidate message); advancing on an apply-free tick would split
-  // the integration step and change float bits. After the hoist every
-  // apply call touches only per-cache state (the inner AdvanceTo sees
-  // dt == 0 and writes nothing), so caches can apply concurrently.
+  // its running sums up to t. An apply integrates implicitly up to its own
+  // time, so the hoist must fire exactly on ticks with at least one apply
+  // (a live, agent-bearing cache with a non-invalidate message); advancing
+  // on an apply-free tick would split the integration step and change
+  // float bits. After the hoist every apply call touches only per-cache
+  // state (the inner AdvanceTo sees dt == 0 and writes nothing), so caches
+  // can apply concurrently.
   bool any_apply = false;
   for (int c = 0; c < num_caches() && !any_apply; ++c) {
     if (caches_[c] == nullptr) continue;
@@ -671,7 +480,7 @@ void CooperativeScheduler::Tick(double t) {
     if (protocol_->emits_push_refreshes()) {
       SendPhase(t);
     } else if (protocol_->emits_invalidations()) {
-      SendInvalidationPhase(t);
+      SendBuffered(t, &SourceAgent::SendInvalidationsBuffered);
     }
   }
 
@@ -682,48 +491,18 @@ void CooperativeScheduler::Tick(double t) {
     RelayPhase(t);
   }
 
-  // 3. Every cache-side link delivers queued refreshes within its budget.
-  //    Sharded mode splits this in two: links pop their deliverable
-  //    messages concurrently, then each cache's messages are applied on
-  //    the shard owning the cache — cross-cache accumulation is hoisted or
-  //    replayed in the serial order (see ApplyDeliveriesSharded), so the
-  //    result is bitwise identical to the sequential loop.
+  // 3. Every cache-side link delivers queued refreshes within its budget,
+  //    in two halves: the links pop their deliverable messages (sharded by
+  //    cache), then each cache's messages are applied on the lane owning
+  //    the cache. The one cross-cache integration step is hoisted (see
+  //    ApplyDeliveries); the global counters the applies feed go to
+  //    per-cache scratch, drained here in ascending cache order, so the
+  //    result is the same bits at any lane count.
   const bool reads = read_path_.enabled();
   {
     PhaseTimer::Scope phase(timer, PhaseTimer::Phase::kDeliverApply);
-    if (shard_pool_ != nullptr) {
-      CollectDeliveriesSharded();
-      ApplyDeliveriesSharded(t);
-    } else {
-      for (int c = 0; c < num_caches(); ++c) {
-        CacheAgent* cache = caches_[c].get();
-        if (cache == nullptr) continue;
-        if (!cache_down_.empty() && cache_down_[c] != 0) {
-          // Crashed cache: the wire still delivers (budget spent, loss
-          // drawn, delivery counted) but every message is lost at the dead
-          // process.
-          network_->cache_link(c).DeliverQueued([](const Message&) {});
-          continue;
-        }
-        const bool track_resync = !resync_.empty() && resync_[c].open;
-        TraceBuffer* const trace =
-            obs_ != nullptr ? obs_->cache_buffer(c) : nullptr;
-        network_->cache_link(c).DeliverQueued([&](const Message& message) {
-          if (message.kind == MessageKind::kInvalidate) {
-            read_path_.OnInvalidateDelivered(message, t);
-          } else {
-            if (trace != nullptr) RecordDeliveryTrace(trace, message, t);
-            harness_->DeliverRefresh(message, t);
-            cache->RecordRefresh(message, t);
-            if (reads) read_path_.OnRefreshDelivered(message, t);
-            if (track_resync) NoteResyncDelivery(c, message, t);
-          }
-        });
-      }
-    }
-    // Both branches record global-counter contributions into per-cache
-    // scratch; drain it in ascending cache order (the serial accumulation
-    // sequence) now that the applies are done.
+    CollectDeliveries();
+    ApplyDeliveries(t);
     read_path_.FlushDeliveryCounters();
     DrainResyncNotes();
   }

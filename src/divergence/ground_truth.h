@@ -126,7 +126,7 @@ class GroundTruth {
   /// writes nothing). Must be called with t >= the time of every
   /// subsequent concurrent apply, and only on ticks where at least one
   /// apply follows — an early advance on an apply-free tick would split
-  /// the integration step and change float bits vs the serial order.
+  /// the integration step and change float bits vs per-apply integration.
   void AdvanceTo(double t);
 
  private:

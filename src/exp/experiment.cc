@@ -47,7 +47,6 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
       cooperative.recovery_policy = config.recovery_policy;
       cooperative.relay_store_policy = config.relay_store_policy;
       cooperative.run_threads = config.run_threads;
-      cooperative.send_order_shards = config.send_order_shards;
       cooperative.phase_timer = config.phase_timer;
       cooperative.obs = config.obs;
       return std::make_unique<CooperativeScheduler>(cooperative);
@@ -92,6 +91,10 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
 Result<RunResult> RunExperimentOnWorkload(const ExperimentConfig& config,
                                           const Workload* workload) {
   if (workload == nullptr) return Status::InvalidArgument("null workload");
+  if (config.run_threads < 1) {
+    return Status::InvalidArgument("run_threads must be >= 1, got ",
+                                   config.run_threads);
+  }
   const bool tree_topology =
       !config.topology.flat() || !workload->topology.flat();
   if (tree_topology && config.scheduler != SchedulerKind::kCooperative) {

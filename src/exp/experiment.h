@@ -84,15 +84,10 @@ struct ExperimentConfig {
   int max_batch = 1;
   double max_batch_delay = 5.0;
   double loss_rate = 0.0;
-  /// Intra-run worker threads for the cooperative scheduler's sharded tick
+  /// Intra-run worker threads (>= 1) for the cooperative scheduler's tick
   /// phases (CooperativeConfig::run_threads); results are bitwise identical
   /// at any value. Ignored by the baseline schedulers (single-threaded).
   int run_threads = 1;
-  /// Opt-in per-shard send-order drawing
-  /// (CooperativeConfig::send_order_shards); 0 keeps the historical
-  /// main-thread shuffle. Any S > 0 is a different (still deterministic)
-  /// run. Ignored by the baseline schedulers.
-  int send_order_shards = 0;
   /// Optional per-phase tick profiler (CooperativeConfig::phase_timer);
   /// not owned. Wall-clock numbers — perf output only.
   PhaseTimer* phase_timer = nullptr;

@@ -54,10 +54,10 @@ class Link {
   int64_t DeliverQueued(const std::function<void(const Message&)>& sink);
 
   /// Exactly DeliverQueued, but the delivered messages are appended to
-  /// `out` instead of being sunk inline — the collect half of the sharded
-  /// two-phase delivery (budget, loss draws and statistics are all
-  /// per-link state, so collection parallelizes across links; the caller
-  /// applies the collected messages serially in the canonical order).
+  /// `out` instead of being sunk inline — the collect half of the
+  /// scheduler's two-phase delivery (budget, loss draws and statistics are
+  /// all per-link state, so collection parallelizes across links; the
+  /// caller then applies each cache's messages in collected order).
   int64_t CollectDeliverable(std::vector<Message>* out);
 
   /// Attempts to consume `amount` units of remaining budget; returns the

@@ -61,12 +61,11 @@ class Network {
 
   /// Advances all links (leaf, source, relay ingress/egress) into the tick
   /// [tick_start, tick_start+tick_len) and makes control messages deposited
-  /// during the previous tick deliverable. With a non-null `pool` the link
-  /// advancement is sharded across the pool (every link's budget, credit
-  /// and statistics are self-contained, so per-link advancement commutes);
-  /// mail promotion stays on the calling thread. Bitwise identical at any
-  /// pool size.
-  void BeginTick(double tick_start, double tick_len, ShardPool* pool = nullptr);
+  /// during the previous tick deliverable. The link advancement is sharded
+  /// across `pool` (non-null; every link's budget, credit and statistics
+  /// are self-contained, so per-link advancement commutes); mail promotion
+  /// stays on the calling thread. Bitwise identical at any pool size.
+  void BeginTick(double tick_start, double tick_len, ShardPool* pool);
 
   /// Flushes the final tick's usage into every link's utilization stat
   /// (call once at end of run — see Link::FinishTick).

@@ -30,8 +30,8 @@ enum class TraceEventKind : int32_t {
   kDeliver = 4,
   /// ...and was applied to the replica. The engine applies at arrival time,
   /// so kDeliver/kApply share a timestamp; both are recorded at the apply
-  /// site because that is the one point with an identical per-cache message
-  /// order in the serial and sharded engines.
+  /// site because there each cache's messages are walked in link order by
+  /// the one lane owning the cache, at any lane count.
   kApply = 5,
   /// The read path sent a pull request for a missed/invalid replica.
   kPullRequest = 6,

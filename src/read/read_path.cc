@@ -289,7 +289,7 @@ void ReadPath::FlushDeliveryCounters() {
     cache.scratch_invalidations = 0;
     miss_latency_count_ += cache.scratch_latency_count;
     cache.scratch_latency_count = 0;
-    // Term-by-term, so the global sum's float rounding replays the serial
+    // Term-by-term, so the global sum's float rounding replays the
     // cache-major apply exactly.
     for (double term : cache.scratch_latency_terms) miss_latency_sum_ += term;
     cache.scratch_latency_terms.clear();

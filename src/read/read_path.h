@@ -116,8 +116,8 @@ class ReadPath {
   /// (OnRefreshDelivered / OnInvalidateDelivered) record into per-cache
   /// scratch so the scheduler may apply different caches' deliveries
   /// concurrently; the scheduler calls this once per tick, after the apply
-  /// barrier, on the main thread. Because the serial path uses the same
-  /// scratch-then-drain sequence, the float addition order of
+  /// barrier, on the main thread. The drain adds in ascending cache order
+  /// whatever the lane count, so the float addition order of
   /// miss_latency_sum_ — and hence every reported bit — is identical at
   /// any thread count.
   void FlushDeliveryCounters();
@@ -183,8 +183,8 @@ class ReadPath {
     QuantileDigest staleness;
     // Delivery-phase scratch, drained by FlushDeliveryCounters(). Integer
     // tallies are order-free; the float miss-latency contributions are
-    // kept as individual terms so the drain can replay the exact serial
-    // addition sequence.
+    // kept as individual terms so the drain can replay the exact
+    // cache-major addition sequence.
     int64_t scratch_pulls_delivered = 0;
     int64_t scratch_invalidations = 0;
     int64_t scratch_latency_count = 0;

@@ -63,7 +63,7 @@ class ShardPool {
   /// only fn(0): an over-wide team does not hide more serial work, it
   /// just wakes more threads. Callers should clamp their team size to
   /// the largest per-shard item count (CooperativeScheduler::Initialize
-  /// clamps run_threads to max(num_sources, num_caches)).
+  /// clamps run_threads to max(num_sources, num_caches, num_nodes)).
   static std::pair<int64_t, int64_t> ShardRange(int64_t count, int shard,
                                                 int num_shards);
 

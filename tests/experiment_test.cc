@@ -78,6 +78,20 @@ TEST(ExperimentTest, WorkloadReuseAcrossSchedulers) {
   EXPECT_DOUBLE_EQ(first->per_object_unweighted, second->per_object_unweighted);
 }
 
+TEST(ExperimentTest, RejectsRunThreadsBelowOne) {
+  // A bad thread count is a config error reported as a Status, never a
+  // silent fallback or an abort inside the scheduler.
+  ExperimentConfig config = SmallExperiment(SchedulerKind::kCooperative);
+  Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
+  for (int run_threads : {0, -1}) {
+    config.run_threads = run_threads;
+    const auto result = RunExperimentOnWorkload(config, &workload);
+    ASSERT_FALSE(result.ok()) << "run_threads=" << run_threads;
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+  }
+}
+
 // The paper's central comparison, swept across metrics and bandwidths: the
 // idealized oracle never loses to the practical cooperative protocol, and
 // the cooperative protocol never loses to blind round-robin refreshing

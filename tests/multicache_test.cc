@@ -14,6 +14,7 @@
 #include "exp/experiment.h"
 #include "exp/multicache.h"
 #include "net/network.h"
+#include "util/shard_pool.h"
 
 namespace besync {
 namespace {
@@ -132,7 +133,8 @@ TEST(MulticacheNetworkTest, MailIsKeyedByCacheAndSource) {
   config.num_caches = 2;
   Rng rng(5);
   Network network(config, &rng);
-  network.BeginTick(0.0, 1.0);
+  ShardPool pool(1);
+  network.BeginTick(0.0, 1.0, &pool);
 
   Message from_cache1;
   from_cache1.kind = MessageKind::kFeedback;
@@ -142,7 +144,7 @@ TEST(MulticacheNetworkTest, MailIsKeyedByCacheAndSource) {
   EXPECT_TRUE(network.TakeSourceMail(0, 0).empty());
   EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
 
-  network.BeginTick(1.0, 1.0);
+  network.BeginTick(1.0, 1.0, &pool);
   // Visible only under the (cache 1, source 0) key; stamped with the cache.
   EXPECT_TRUE(network.TakeSourceMail(0, 0).empty());
   EXPECT_TRUE(network.TakeSourceMail(1, 1).empty());
@@ -151,7 +153,7 @@ TEST(MulticacheNetworkTest, MailIsKeyedByCacheAndSource) {
   EXPECT_EQ(mail[0].cache_id, 1);
   // Drained exactly once.
   EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
-  network.BeginTick(2.0, 1.0);
+  network.BeginTick(2.0, 1.0, &pool);
   EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
 }
 
@@ -163,7 +165,8 @@ TEST(MulticacheNetworkTest, PerCacheBandwidthOverrides) {
   config.cache_bandwidth_overrides = {0.0, 4.0};  // cache 0 falls back
   Rng rng(5);
   Network network(config, &rng);
-  network.BeginTick(0.0, 1.0);
+  ShardPool pool(1);
+  network.BeginTick(0.0, 1.0, &pool);
   EXPECT_EQ(network.cache_link(0).tick_budget(), 10);
   EXPECT_EQ(network.cache_link(1).tick_budget(), 4);
   EXPECT_EQ(network.cache_link(2).tick_budget(), 10);

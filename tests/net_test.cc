@@ -6,6 +6,7 @@
 #include "net/bandwidth.h"
 #include "net/link.h"
 #include "net/network.h"
+#include "util/shard_pool.h"
 
 namespace besync {
 namespace {
@@ -102,8 +103,9 @@ TEST(NetworkTest, ConstructsStarTopology) {
   config.source_bandwidth_avg = 2.0;
   Rng rng(1);
   Network network(config, &rng);
+  ShardPool pool(1);
   EXPECT_EQ(network.num_sources(), 4);
-  network.BeginTick(0.0, 1.0);
+  network.BeginTick(0.0, 1.0, &pool);
   EXPECT_EQ(network.cache_link().tick_budget(), 10);
   EXPECT_EQ(network.source_link(0).tick_budget(), 2);
 }
@@ -115,7 +117,8 @@ TEST(NetworkTest, UnconstrainedSourceBandwidth) {
   config.source_bandwidth_avg = -1.0;  // unconstrained
   Rng rng(1);
   Network network(config, &rng);
-  network.BeginTick(0.0, 1.0);
+  ShardPool pool(1);
+  network.BeginTick(0.0, 1.0, &pool);
   EXPECT_GT(network.source_link(0).tick_budget(), 1000000);
 }
 
@@ -125,15 +128,16 @@ TEST(NetworkTest, ControlMailDeliveredNextTick) {
   config.cache_bandwidth_avg = 5.0;
   Rng rng(1);
   Network network(config, &rng);
+  ShardPool pool(1);
 
-  network.BeginTick(0.0, 1.0);
+  network.BeginTick(0.0, 1.0, &pool);
   Message feedback;
   feedback.kind = MessageKind::kFeedback;
   network.SendToSource(1, feedback);
   // Not deliverable within the same tick.
   EXPECT_TRUE(network.TakeSourceMail(1).empty());
 
-  network.BeginTick(1.0, 1.0);
+  network.BeginTick(1.0, 1.0, &pool);
   auto mail = network.TakeSourceMail(1);
   ASSERT_EQ(mail.size(), 1u);
   EXPECT_EQ(mail[0].kind, MessageKind::kFeedback);
@@ -153,8 +157,9 @@ TEST(NetworkTest, ControlMailInvisibleUntilNextTickAndDrainedOnce) {
   config.cache_bandwidth_avg = 5.0;
   Rng rng(1);
   Network network(config, &rng);
+  ShardPool pool(1);
 
-  network.BeginTick(0.0, 1.0);
+  network.BeginTick(0.0, 1.0, &pool);
   Message feedback;
   feedback.kind = MessageKind::kFeedback;
   network.SendToSource(0, feedback);
@@ -162,11 +167,11 @@ TEST(NetworkTest, ControlMailInvisibleUntilNextTickAndDrainedOnce) {
   EXPECT_TRUE(network.TakeSourceMail(0).empty());
   EXPECT_TRUE(network.TakeSourceMail(0).empty());  // still invisible
 
-  network.BeginTick(1.0, 1.0);
+  network.BeginTick(1.0, 1.0, &pool);
   EXPECT_EQ(network.TakeSourceMail(0).size(), 2u);  // both, exactly once
   EXPECT_TRUE(network.TakeSourceMail(0).empty());
 
-  network.BeginTick(2.0, 1.0);
+  network.BeginTick(2.0, 1.0, &pool);
   EXPECT_TRUE(network.TakeSourceMail(0).empty());  // gone for good
 }
 
@@ -178,14 +183,15 @@ TEST(NetworkTest, UndrainedMailSurvivesIntoLaterTicks) {
   config.cache_bandwidth_avg = 5.0;
   Rng rng(1);
   Network network(config, &rng);
+  ShardPool pool(1);
 
-  network.BeginTick(0.0, 1.0);
+  network.BeginTick(0.0, 1.0, &pool);
   Message feedback;
   feedback.kind = MessageKind::kFeedback;
   network.SendToSource(0, feedback);
-  network.BeginTick(1.0, 1.0);  // deliverable, but nobody drains
+  network.BeginTick(1.0, 1.0, &pool);  // deliverable, but nobody drains
   network.SendToSource(0, feedback);
-  network.BeginTick(2.0, 1.0);
+  network.BeginTick(2.0, 1.0, &pool);
   EXPECT_EQ(network.TakeSourceMail(0).size(), 2u);
 }
 
@@ -196,10 +202,11 @@ TEST(NetworkTest, FluctuatingBandwidthAverages) {
   config.bandwidth_change_rate = 0.05;
   Rng rng(7);
   Network network(config, &rng);
+  ShardPool pool(1);
   int64_t total = 0;
   const int kTicks = 2000;
   for (int t = 0; t < kTicks; ++t) {
-    network.BeginTick(t, 1.0);
+    network.BeginTick(t, 1.0, &pool);
     total += network.cache_link().tick_budget();
   }
   EXPECT_NEAR(static_cast<double>(total) / kTicks, 20.0, 1.0);

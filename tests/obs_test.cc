@@ -197,25 +197,6 @@ TEST(ObsExportTest, BytesIdenticalAcrossRunThreads) {
   }
 }
 
-TEST(ObsExportTest, BytesIdenticalUnderShardedSendOrder) {
-  // send_order_shards > 0 is a *different* deterministic run; the invariant
-  // is that, at a fixed shard count, the bytes are still thread-invariant.
-  std::string trace_bytes;
-  for (int run_threads : {1, 8}) {
-    ExperimentConfig config = FaultTreeConfig();
-    config.run_threads = run_threads;
-    config.send_order_shards = 4;
-    config.obs = FullObs();
-    const auto result = RunExperiment(config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    if (run_threads == 1) {
-      trace_bytes = TraceBytes(*result);
-      continue;
-    }
-    EXPECT_EQ(TraceBytes(*result), trace_bytes);
-  }
-}
-
 TEST(ObsExportTest, TraceFilterSelectsSubset) {
   ExperimentConfig config = FaultTreeConfig();
   config.obs = FullObs();

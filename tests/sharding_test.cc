@@ -262,39 +262,5 @@ TEST(ShardingTest, FaultScheduleMatchesSerialExactly) {
   EXPECT_GT(serial.scheduler.resync_deliveries, 0);
 }
 
-/// The opt-in per-shard send-order mode (send_order_shards > 0) draws each
-/// logical shard's shuffle from its own Rng::Split child, so it is a
-/// *different* (equally valid) run than the default single-stream order —
-/// but with the shard count pinned it must itself be bitwise invariant
-/// across run_threads, including when threads exceed the shard count.
-TEST(ShardingTest, SendOrderShardsThreadInvariance) {
-  ExperimentConfig config;
-  config.workload.num_sources = 24;
-  config.workload.objects_per_source = 6;
-  config.workload.num_caches = 4;
-  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.workload.seed = 41;
-  config.harness.warmup = 20.0;
-  config.harness.measure = 100.0;
-  config.harness.seed = 7;
-  config.cache_bandwidth_avg = 5.0;
-  config.source_bandwidth_avg = 2.0;
-  config.loss_rate = 0.05;
-
-  const RunResult default_order = RunAt(config, 1);
-
-  config.send_order_shards = 3;
-  const RunResult serial = RunAt(config, 1);
-  ExpectIdenticalRuns(serial, RunAt(config, 2));
-  ExpectIdenticalRuns(serial, RunAt(config, 4));
-  ExpectIdenticalRuns(serial, RunAt(config, 8));
-
-  // The knob is live: shard-split RNG children produce a different send
-  // interleaving than the default stream, which this lossy contended
-  // config turns into a different (still deterministic) trajectory.
-  EXPECT_NE(serial.total_weighted_divergence,
-            default_order.total_weighted_divergence);
-}
-
 }  // namespace
 }  // namespace besync

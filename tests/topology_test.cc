@@ -18,6 +18,7 @@
 #include "exp/experiment.h"
 #include "exp/multicache.h"
 #include "net/network.h"
+#include "util/shard_pool.h"
 
 namespace besync {
 namespace {
@@ -129,12 +130,13 @@ TEST(NetworkTopologyTest, ControlMailPumpsToTierOne) {
   config.topology = MakeRelayTree(4, 2, 1);  // relays 4, 5
   Rng rng(1);
   Network network(config, &rng);
+  ShardPool pool(1);
   Message feedback;
   feedback.kind = MessageKind::kFeedback;
   network.SendToSource(/*cache_id=*/3, /*source_index=*/0, feedback);
   network.SendToSource(/*cache_id=*/0, /*source_index=*/0, feedback);
   // Not deliverable until the next tick, exactly like the flat channel.
-  network.BeginTick(0.0, 1.0);
+  network.BeginTick(0.0, 1.0, &pool);
   EXPECT_EQ(network.PumpControlUpstream(), 2);
   EXPECT_TRUE(network.TakeSourceMail(/*node=*/0, 0).empty());
   const std::vector<Message> at_four = network.TakeSourceMail(/*node=*/4, 0);

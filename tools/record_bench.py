@@ -15,12 +15,20 @@ Usage:
   tools/record_bench.py [--build-dir build]          # record all baselines
   tools/record_bench.py --out BENCH_scale.json       # record one baseline
   tools/record_bench.py --check   # validate the committed baselines only
+  tools/record_bench.py --verify [--build-dir build]  # re-run, compare bytes
   tools/record_bench.py --scaling-check scale.json   # validate a --perf run
 
 --check additionally enforces the bench_scale determinism layout: every
 point name appears at least twice (once per recorded run_threads value)
 and all rows of one name are exactly identical — the committed baseline IS
 the thread-invariance proof.
+
+--verify records every baseline in memory from the build directory and
+compares its bytes with the committed file without writing anything. It
+prints the first differing bench and row and exits nonzero on any
+difference: the committed baselines are the engine's reference output for
+the invalidation, relay, read and fault configs, so a behavior change
+anywhere in the engine shows up here.
 
 --scaling-check validates an (uncommitted) `bench_scale --perf` output:
 the perf member must carry a phase_breakdown and per-(point, run_threads)
@@ -377,6 +385,49 @@ def run_bench(build_dir, name, extra_args):
     return doc
 
 
+def record_profile(build_dir, profile):
+    """Runs one profile's benches and returns the baseline file's bytes."""
+    baseline = {
+        "schema": BASELINE_SCHEMA,
+        "benches": {name: run_bench(build_dir, name, extra)
+                    for name, extra in sorted(PROFILES[profile].items())},
+    }
+    validate_baseline(baseline, "recorded baseline", profile)
+    # Sorted keys + fixed separators: the bytes depend only on results.
+    return json.dumps(baseline, indent=1, sort_keys=True) + "\n"
+
+
+def first_difference(committed, recorded):
+    """Names the first bench/row where two baseline texts differ."""
+    try:
+        old = json.loads(committed)
+    except json.JSONDecodeError as error:
+        return f"committed file is not valid JSON: {error}"
+    new = json.loads(recorded)
+    old_benches = old.get("benches", {})
+    new_benches = new.get("benches", {})
+    for name in sorted(old_benches.keys() | new_benches.keys()):
+        if name not in old_benches or name not in new_benches:
+            side = "committed" if name not in old_benches else "recorded"
+            return f"bench {name!r} missing from the {side} baseline"
+        old_rows = old_benches[name].get("results", [])
+        new_rows = new_benches[name].get("results", [])
+        for i, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
+            if old_row != new_row:
+                keys = sorted(k for k in old_row.keys() | new_row.keys()
+                              if old_row.get(k) != new_row.get(k))
+                return (f"bench {name!r} row {i} ({old_row.get('name')!r}) "
+                        f"differs in {keys}")
+        if len(old_rows) != len(new_rows):
+            return (f"bench {name!r} has {len(old_rows)} committed rows, "
+                    f"{len(new_rows)} recorded")
+        if old_benches[name] != new_benches[name]:
+            return f"bench {name!r} differs outside its results rows"
+    if old != new:
+        return "top-level members differ"
+    return "same JSON content, different bytes (formatting)"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build",
@@ -386,6 +437,9 @@ def main():
     parser.add_argument("--check", action="store_true",
                         help="validate the committed baselines and exit "
                              "(no benches are run)")
+    parser.add_argument("--verify", action="store_true",
+                        help="re-run the benches and compare the bytes with "
+                             "the committed baselines (nothing is written)")
     parser.add_argument("--scaling-check", metavar="FILE", default=None,
                         help="validate a `bench_scale --perf` JSON capture "
                              "(phase accounting + parallel speedup) and exit")
@@ -421,18 +475,29 @@ def main():
 
     build_dir = args.build_dir if os.path.isabs(args.build_dir) \
         else os.path.join(REPO_ROOT, args.build_dir)
+    mismatched = []
     for profile in profiles:
-        baseline = {
-            "schema": BASELINE_SCHEMA,
-            "benches": {name: run_bench(build_dir, name, extra)
-                        for name, extra in sorted(PROFILES[profile].items())},
-        }
-        validate_baseline(baseline, "recorded baseline", profile)
-        # Sorted keys + fixed separators: the bytes depend only on results.
-        with open(os.path.join(REPO_ROOT, profile), "w") as f:
-            json.dump(baseline, f, indent=1, sort_keys=True)
-            f.write("\n")
-        print(f"record_bench: wrote {profile}")
+        recorded = record_profile(build_dir, profile)
+        out_path = os.path.join(REPO_ROOT, profile)
+        if not args.verify:
+            with open(out_path, "w") as f:
+                f.write(recorded)
+            print(f"record_bench: wrote {profile}")
+            continue
+        try:
+            with open(out_path) as f:
+                committed = f.read()
+        except OSError as error:
+            fail(f"cannot read {out_path}: {error}")
+        if committed == recorded:
+            print(f"record_bench: {profile} byte-identical")
+            continue
+        print(f"record_bench: {profile} DIFFERS: "
+              f"{first_difference(committed, recorded)}", file=sys.stderr)
+        mismatched.append(profile)
+    if mismatched:
+        fail(f"{len(mismatched)} baseline(s) differ from a fresh recording: "
+             f"{', '.join(mismatched)}")
 
 
 if __name__ == "__main__":
