@@ -3,6 +3,8 @@
 // controller, the CGM allocation solver, ground-truth accounting, and the
 // end-to-end simulation tick rate.
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "baseline/freq_allocation.h"
@@ -113,10 +115,16 @@ void BM_FreshnessAllocation(benchmark::State& state) {
 }
 BENCHMARK(BM_FreshnessAllocation)->Arg(100)->Arg(1000)->Arg(10000);
 
+// One source update, plus an apply 30% of the time, per iteration over
+// 1000 objects partitioned across range(0) caches. Each event touches one
+// replica, so the time per event should not grow with the cache count.
 void BM_GroundTruthEvents(benchmark::State& state) {
+  const int caches = static_cast<int>(state.range(0));
   WorkloadConfig config;
-  config.num_sources = 10;
-  config.objects_per_source = 100;
+  config.num_caches = caches;
+  config.interest_pattern = InterestPattern::kPartitionedBySource;
+  config.num_sources = std::max(10, caches);
+  config.objects_per_source = 1000 / config.num_sources;
   config.seed = 4;
   Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
   ValueDeviationMetric metric;
@@ -136,7 +144,7 @@ void BM_GroundTruthEvents(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_GroundTruthEvents);
+BENCHMARK(BM_GroundTruthEvents)->Arg(1)->Arg(100)->Arg(1000);
 
 void BM_SimulationEventChurn(benchmark::State& state) {
   Simulation sim;

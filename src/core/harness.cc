@@ -92,10 +92,6 @@ void Harness::DeliverRefresh(const Message& message, double t) {
   }
 }
 
-void Harness::AdvanceGroundTruths(double t) {
-  for (GroundTruth* ground_truth : ground_truths_) ground_truth->AdvanceTo(t);
-}
-
 void Harness::RefreshInstant(ObjectIndex index, double t) {
   for (int32_t cache_id : objects_[index].spec->caches) {
     const Message message = MakeRefreshMessage(index, cache_id, t);

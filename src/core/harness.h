@@ -223,13 +223,6 @@ class Harness {
   /// message's cache_id).
   void DeliverRefresh(const Message& message, double t);
 
-  /// Integrates every registered ground truth's divergence sums up to `t`
-  /// — the hoisted cross-cache step of DeliverRefresh. After this,
-  /// DeliverRefresh calls at time `t` for distinct caches touch disjoint
-  /// ground-truth state and may run concurrently (see
-  /// GroundTruth::AdvanceTo for the preconditions).
-  void AdvanceGroundTruths(double t);
-
   /// Oracle path: instantaneous refresh of every replica of the object
   /// (source send + cache apply with no network in between), used by the
   /// idealized schedulers.

@@ -353,26 +353,6 @@ void CooperativeScheduler::CollectDeliveries() {
 }
 
 void CooperativeScheduler::ApplyDeliveries(double t) {
-  // Hoist the one cross-cache step of the apply: GroundTruth integrating
-  // its running sums up to t. An apply integrates implicitly up to its own
-  // time, so the hoist must fire exactly on ticks with at least one apply
-  // (a live, agent-bearing cache with a non-invalidate message); advancing
-  // on an apply-free tick would split the integration step and change
-  // float bits. After the hoist every apply call touches only per-cache
-  // state (the inner AdvanceTo sees dt == 0 and writes nothing), so caches
-  // can apply concurrently.
-  bool any_apply = false;
-  for (int c = 0; c < num_caches() && !any_apply; ++c) {
-    if (caches_[c] == nullptr) continue;
-    if (!cache_down_.empty() && cache_down_[c] != 0) continue;
-    for (const Message& message : deliver_buffers_[c]) {
-      if (message.kind != MessageKind::kInvalidate) {
-        any_apply = true;
-        break;
-      }
-    }
-  }
-  if (any_apply) harness_->AdvanceGroundTruths(t);
   const bool reads = read_path_.enabled();
   shard_pool_->Run([this, t, reads](int shard) {
     const auto range = ShardPool::ShardRange(
@@ -494,10 +474,10 @@ void CooperativeScheduler::Tick(double t) {
   // 3. Every cache-side link delivers queued refreshes within its budget,
   //    in two halves: the links pop their deliverable messages (sharded by
   //    cache), then each cache's messages are applied on the lane owning
-  //    the cache. The one cross-cache integration step is hoisted (see
-  //    ApplyDeliveries); the global counters the applies feed go to
-  //    per-cache scratch, drained here in ascending cache order, so the
-  //    result is the same bits at any lane count.
+  //    the cache. Ground-truth integration is per cache; the global
+  //    counters the applies feed go to per-cache scratch, drained here in
+  //    ascending cache order, so the result is the same bits at any lane
+  //    count.
   const bool reads = read_path_.enabled();
   {
     PhaseTimer::Scope phase(timer, PhaseTimer::Phase::kDeliverApply);

@@ -87,11 +87,11 @@ struct CooperativeConfig {
   /// shardable axis) lanes that partitions sources, caches and topology
   /// nodes with a barrier per phase; one lane (the default) runs each
   /// phase inline on the calling thread. Results are bitwise identical at
-  /// any value: the phases draw no shared randomness, cross-cache float
-  /// accumulation is hoisted or replayed in ascending cache order, and
-  /// per-link enqueue order is preserved by partitioning the flush by
-  /// first-hop node (see DESIGN.md, "Two-axis sharding: link-major pop,
-  /// cache-major apply").
+  /// any value: the phases draw no shared randomness, ground-truth
+  /// integration is per cache, global counters are replayed in ascending
+  /// cache order, and per-link enqueue order is preserved by partitioning
+  /// the flush by first-hop node (see DESIGN.md, "Two-axis sharding:
+  /// link-major pop, cache-major apply").
   int run_threads = 1;
   /// Optional per-phase wall-time profiler (util/phase_timer.h); not
   /// owned, may be shared across runs. The timings are wall clock and
@@ -201,13 +201,11 @@ class CooperativeScheduler : public Scheduler {
   void CollectDeliveries();
 
   /// Second half of step 3: applies each cache's collected deliveries on
-  /// the shard owning the cache. The one cross-cache step — GroundTruth
-  /// integrating its running sums up to t — is hoisted onto the calling
-  /// thread first (only on ticks where at least one refresh will be
-  /// applied, matching the per-apply integration points bit for bit);
-  /// after it, every apply touches per-cache state only. Global counters
-  /// the apply hooks feed (read-path totals, resync bookkeeping) go to
-  /// per-cache scratch, drained in ascending cache order after the barrier.
+  /// the shard owning the cache. Every apply touches per-cache state only
+  /// (GroundTruth integrates each cache against its own mark). Global
+  /// counters the apply hooks feed (read-path totals, resync bookkeeping)
+  /// go to per-cache scratch, drained in ascending cache order after the
+  /// barrier.
   void ApplyDeliveries(double t);
 
   /// Drains the per-cache resync scratch (deliveries, closed episodes)

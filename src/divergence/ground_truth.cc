@@ -38,6 +38,7 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
   unweighted_sum_.assign(caches, 0.0);
   weighted_integral_.assign(caches, 0.0);
   unweighted_integral_.assign(caches, 0.0);
+  mark_.assign(caches, 0.0);
 }
 
 size_t GroundTruth::ReplicaEntry(ObjectIndex index, int32_t cache_id) const {
@@ -68,21 +69,28 @@ void GroundTruth::Initialize(double t) {
   }
   last_time_ = t;
   measure_start_ = t;
+  std::fill(mark_.begin(), mark_.end(), t);
   std::fill(weighted_integral_.begin(), weighted_integral_.end(), 0.0);
   std::fill(unweighted_integral_.begin(), unweighted_integral_.end(), 0.0);
   RebuildSums();
 }
 
+void GroundTruth::AdvanceCache(int32_t cache_id, double t) {
+  BESYNC_DCHECK(t >= mark_[cache_id]);
+  const double dt = t - mark_[cache_id];
+  if (dt > 0.0) {
+    weighted_integral_[cache_id] += weighted_sum_[cache_id] * dt;
+    unweighted_integral_[cache_id] += unweighted_sum_[cache_id] * dt;
+    mark_[cache_id] = t;
+  }
+}
+
 void GroundTruth::AdvanceTo(double t) {
   BESYNC_DCHECK(t >= last_time_);
-  const double dt = t - last_time_;
-  if (dt > 0.0) {
-    for (size_t c = 0; c < weighted_sum_.size(); ++c) {
-      weighted_integral_[c] += weighted_sum_[c] * dt;
-      unweighted_integral_[c] += unweighted_sum_[c] * dt;
-    }
-    last_time_ = t;
+  for (size_t c = 0; c < mark_.size(); ++c) {
+    AdvanceCache(static_cast<int32_t>(c), t);
   }
+  last_time_ = t;
 }
 
 void GroundTruth::SetDivergence(Entry* entry, double divergence) {
@@ -103,12 +111,12 @@ void GroundTruth::RebuildSums() {
 
 void GroundTruth::OnSourceUpdate(ObjectIndex index, double t, double value,
                                  int64_t version) {
-  AdvanceTo(t);
   const int replicas = workload_->objects[index].num_replicas();
   for (int r = 0; r < replicas; ++r) {
     Entry& entry = entries_[replica_base_[index] + r];
     entry.source_value = value;
     entry.source_version = version;
+    AdvanceCache(entry.cache_id, t);
     SetDivergence(&entry, metric_->Divergence(value, version, entry.cached_value,
                                               entry.cached_version));
   }
@@ -116,8 +124,10 @@ void GroundTruth::OnSourceUpdate(ObjectIndex index, double t, double value,
 
 void GroundTruth::OnCacheApply(ObjectIndex index, int32_t cache_id, double t,
                                double value, int64_t version) {
-  AdvanceTo(t);
   Entry& entry = entries_[ReplicaEntry(index, cache_id)];
+  // Every apply is an event at its cache, even an ignored one, so a
+  // single cache splits its integration steps where an eager walk would.
+  AdvanceCache(cache_id, t);
   // Refreshes may be delivered out of order relative to newer content only
   // in CGM-style protocols; never regress the cached version.
   if (version < entry.cached_version) return;

@@ -21,11 +21,24 @@ namespace besync {
 /// reported objective is the sum over caches — Σ_c Σ_{i at c} of the
 /// time-averaged weighted divergence of replica (i, c).
 ///
-/// Divergence is piecewise constant between events, so the integrals are
-/// maintained event-incrementally in O(#replicas) per source update and
-/// O(1) per cache apply; fluctuating weights are re-evaluated periodically
-/// via RefreshWeights() (the paper's standing assumption is that weights
-/// change slowly relative to refresh timescales, Section 3.3).
+/// Divergence is piecewise constant between events, so each cache's
+/// integrals advance lazily: cache c keeps its own mark (the time up to
+/// which its integrals are current) and integrates its running sums only
+/// at events that touch one of its replicas. A source update therefore
+/// costs O(replicas of the object) and a cache apply O(1), whatever the
+/// number of caches, and applies at distinct caches touch disjoint state.
+/// Every cache is brought up to date only at the global points —
+/// RefreshWeights(), StartMeasurement() and FinishMeasurement() — so the
+/// integrals (and every result below) are valid only after
+/// FinishMeasurement(). A cache's integration step is split only at its
+/// own events. When every event touches every cache — one cache, or full
+/// replication with every cache applying on the same ticks — the steps,
+/// and so the bits, equal those of advancing every cache at every event.
+/// Otherwise only the low float bits differ from that eager walk.
+///
+/// Fluctuating weights are re-evaluated periodically via RefreshWeights()
+/// (the paper's standing assumption is that weights change slowly relative
+/// to refresh timescales, Section 3.3).
 class GroundTruth {
  public:
   /// `workload` and `metric` must outlive this object. When
@@ -110,24 +123,13 @@ class GroundTruth {
   }
 
   /// Instantaneous Σ W * D over cache `cache_id`'s replicas — the running
-  /// sum the time integrals integrate. Divergence is piecewise constant
-  /// between update/apply events, so this is exact at any time with no
-  /// AdvanceTo: reading it never perturbs the integration points (the
+  /// sum the time integrals integrate. The sums are updated eagerly at
+  /// every event (only the integrals are lazy), so this is exact at any
+  /// time, and reading it never moves a cache's integration mark (the
   /// observability sampler depends on that).
   double CurrentWeightedSum(int32_t cache_id) const {
     return weighted_sum_[cache_id];
   }
-
-  /// Integrates the running sums up to `t`. Normally implicit in the
-  /// event entry points, but exposed so the scheduler's parallel delivery
-  /// apply can hoist the one cross-cache step of OnCacheApply: after
-  /// AdvanceTo(t), concurrent OnCacheApply(..., t, ...) calls for distinct
-  /// caches touch disjoint state (the inner AdvanceTo sees dt == 0 and
-  /// writes nothing). Must be called with t >= the time of every
-  /// subsequent concurrent apply, and only on ticks where at least one
-  /// apply follows — an early advance on an apply-free tick would split
-  /// the integration step and change float bits vs per-apply integration.
-  void AdvanceTo(double t);
 
  private:
   struct Entry {
@@ -142,7 +144,13 @@ class GroundTruth {
 
   /// Flat entry index of object `index`'s replica at `cache_id` (checked).
   size_t ReplicaEntry(ObjectIndex index, int32_t cache_id) const;
-  /// Replaces an entry's divergence, maintaining the running sums.
+  /// Integrates cache `cache_id`'s running sums from its mark up to `t`.
+  void AdvanceCache(int32_t cache_id, double t);
+  /// Integrates every cache up to `t`; called only at the global points
+  /// (weight refresh, measurement start and finish).
+  void AdvanceTo(double t);
+  /// Replaces an entry's divergence, maintaining the running sums; the
+  /// caller first advances the entry's cache to the event time.
   void SetDivergence(Entry* entry, double divergence);
   /// Rebuilds the running sums from scratch (bounds accumulation error).
   void RebuildSums();
@@ -164,7 +172,8 @@ class GroundTruth {
   std::vector<double> unweighted_sum_;  // Σ D at current time, per cache
   std::vector<double> weighted_integral_;
   std::vector<double> unweighted_integral_;
-  double last_time_ = 0.0;
+  std::vector<double> mark_;  // integrals current up to this time, per cache
+  double last_time_ = 0.0;    // last global AdvanceTo
   double measure_start_ = 0.0;
 };
 

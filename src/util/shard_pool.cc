@@ -85,17 +85,4 @@ std::pair<int64_t, int64_t> ShardPool::ShardRange(int64_t count, int shard,
   return {first, first + size};
 }
 
-int ShardPool::ShardOf(int64_t count, int64_t index, int num_shards) {
-  BESYNC_CHECK_GE(index, 0);
-  BESYNC_CHECK_LT(index, count);
-  const int64_t shards = num_shards;
-  const int64_t base = count / shards;
-  const int64_t extra = count % shards;
-  // The first `extra` shards hold base + 1 items each, covering indices
-  // [0, extra * (base + 1)); the rest hold base items.
-  const int64_t boundary = extra * (base + 1);
-  if (index < boundary) return static_cast<int>(index / (base + 1));
-  return static_cast<int>(extra + (index - boundary) / base);
-}
-
 }  // namespace besync

@@ -67,13 +67,6 @@ class ShardPool {
   static std::pair<int64_t, int64_t> ShardRange(int64_t count, int shard,
                                                 int num_shards);
 
-  /// Inverse of ShardRange: the shard whose range contains `index`
-  /// (0 <= index < count). For every shard s and every i in
-  /// ShardRange(count, s, num_shards), ShardOf(count, i, num_shards) == s —
-  /// the routing function of cross-shard handoffs (which shard owns item
-  /// i?) without scanning ranges.
-  static int ShardOf(int64_t count, int64_t index, int num_shards);
-
  private:
   void WorkerLoop(int shard);
 

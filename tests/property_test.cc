@@ -6,8 +6,10 @@
 //  - determinism of whole experiments,
 //  - scale/metric invariants of the priority policies.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -70,63 +72,144 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TrackerFuzzTest,
 
 // -------------------------------------------- GroundTruth vs brute force
 
-class GroundTruthFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+/// Eager per-replica reference for GroundTruth's lazily integrated
+/// per-cache sums: the fuzz below integrates every replica's W·D and D at
+/// every event, whichever caches the event touches, and GroundTruth must
+/// agree per cache. Parameterized over the topology so the multi-cache
+/// path (where a cache's integration step spans other caches' events) is
+/// exercised, not just the single-cache case where the two agree bitwise.
+class GroundTruthFuzzTest
+    : public ::testing::TestWithParam<std::tuple<InterestPattern, uint64_t>> {};
 
-TEST_P(GroundTruthFuzzTest, IntegralMatchesBruteForce) {
+TEST_P(GroundTruthFuzzTest, PerCacheIntegralsMatchBruteForce) {
+  const InterestPattern pattern = std::get<0>(GetParam());
+  const uint64_t seed = std::get<1>(GetParam());
   WorkloadConfig workload_config;
-  workload_config.num_sources = 1;
-  workload_config.objects_per_source = 4;
-  workload_config.seed = GetParam();
+  workload_config.num_sources = 6;
+  workload_config.objects_per_source = 2;
+  workload_config.num_caches = pattern == InterestPattern::kSingleCache ? 1 : 4;
+  workload_config.interest_pattern = pattern;
+  // Fast weight fluctuation, so mid-run RefreshWeights calls really move
+  // the weights.
+  workload_config.weight_fluctuation_amplitude = 0.5;
+  workload_config.weight_period_min = 5.0;
+  workload_config.weight_period_max = 20.0;
+  workload_config.seed = seed;
   Workload workload = std::move(MakeWorkload(workload_config)).ValueOrDie();
   LagMetric metric;
   GroundTruth ground_truth(&workload, &metric);
   ground_truth.Initialize(0.0);
   ground_truth.StartMeasurement(0.0);
 
-  Rng rng(GetParam() * 1000 + 17);
-  struct State {
-    double source_value = 0.0;
-    int64_t source_version = 0;
-    double cached_value = 0.0;
+  struct Replica {
+    ObjectIndex object = 0;
+    int32_t cache = 0;
     int64_t cached_version = 0;
+    double weight = 0.0;
   };
-  std::vector<State> states(4);
-  double t = 0.0;
-  double brute = 0.0;
-  double last_t = 0.0;
-  auto total_divergence = [&states]() {
-    double total = 0.0;
-    for (const State& s : states) {
-      total += static_cast<double>(s.source_version - s.cached_version);
+  std::vector<Replica> replicas;
+  std::vector<int64_t> source_version(workload.objects.size(), 0);
+  auto reweigh = [&](double at) {
+    for (Replica& r : replicas) {
+      r.weight = workload.objects[r.object].weight->ValueAt(at);
     }
-    return total;
   };
-  for (int step = 0; step < 500; ++step) {
-    t += rng.Exponential(2.0);
-    brute += total_divergence() * (t - last_t);
-    last_t = t;
-    const int i = static_cast<int>(rng.UniformInt(0, 3));
-    if (rng.Bernoulli(0.6)) {
-      states[i].source_value += 1.0;
-      ++states[i].source_version;
-      ground_truth.OnSourceUpdate(i, t, states[i].source_value,
-                                  states[i].source_version);
-    } else {
-      states[i].cached_value = states[i].source_value;
-      states[i].cached_version = states[i].source_version;
-      ground_truth.OnCacheApply(i, t, states[i].cached_value,
-                                states[i].cached_version);
+  for (size_t i = 0; i < workload.objects.size(); ++i) {
+    for (int32_t cache : workload.objects[i].caches) {
+      replicas.push_back({static_cast<ObjectIndex>(i), cache, 0, 0.0});
     }
   }
+  reweigh(0.0);
+  const int caches = workload.num_caches;
+  std::vector<double> brute_weighted(caches, 0.0);
+  std::vector<double> brute_unweighted(caches, 0.0);
+  double measure_start = 0.0;
+  double last_t = 0.0;
+  auto integrate_to = [&](double at) {
+    for (const Replica& r : replicas) {
+      const double lag =
+          static_cast<double>(source_version[r.object] - r.cached_version);
+      brute_weighted[r.cache] += lag * r.weight * (at - last_t);
+      brute_unweighted[r.cache] += lag * (at - last_t);
+    }
+    last_t = at;
+  };
+
+  Rng rng(seed * 1000 + 17);
+  double t = 0.0;
+  int stale_applies = 0;
+  for (int step = 0; step < 2000; ++step) {
+    // Some events share a timestamp, like the applies of one tick.
+    if (rng.Bernoulli(0.7)) t += rng.Exponential(2.0);
+    integrate_to(t);
+    const double kind = rng.NextDouble();
+    if (kind < 0.5) {
+      const auto i = static_cast<ObjectIndex>(
+          rng.UniformInt(0, static_cast<int64_t>(workload.objects.size()) - 1));
+      ++source_version[i];
+      ground_truth.OnSourceUpdate(i, t, static_cast<double>(source_version[i]),
+                                  source_version[i]);
+    } else if (kind < 0.95) {
+      // Apply at one replica: the current source version, an older one
+      // that is still newer than the cache's (stale content), or one
+      // older than the cache's, which must be ignored.
+      Replica& r = replicas[rng.UniformInt(
+          0, static_cast<int64_t>(replicas.size()) - 1)];
+      int64_t version = source_version[r.object];
+      if (rng.Bernoulli(0.3) && r.cached_version > 0) {
+        version = rng.UniformInt(0, r.cached_version - 1);
+        ++stale_applies;
+      } else if (rng.Bernoulli(0.3)) {
+        version = rng.UniformInt(r.cached_version, version);
+      }
+      if (version >= r.cached_version) r.cached_version = version;
+      ground_truth.OnCacheApply(r.object, r.cache, t,
+                                static_cast<double>(version), version);
+    } else if (kind < 0.98) {
+      ground_truth.RefreshWeights(t);
+      reweigh(t);
+    } else {
+      ground_truth.StartMeasurement(t);
+      std::fill(brute_weighted.begin(), brute_weighted.end(), 0.0);
+      std::fill(brute_unweighted.begin(), brute_unweighted.end(), 0.0);
+      measure_start = t;
+    }
+  }
+  ASSERT_GT(stale_applies, 0);
   const double end = t + 1.0;
-  brute += total_divergence() * (end - last_t);
+  integrate_to(end);
   ground_truth.FinishMeasurement(end);
-  EXPECT_NEAR(ground_truth.TotalWeightedAverage() * end, brute,
-              1e-9 * (1.0 + brute));
+  const double duration = end - measure_start;
+  ASSERT_GT(duration, 0.0);
+  ASSERT_EQ(ground_truth.num_caches(), caches);
+  double total_weighted = 0.0;
+  double total_unweighted = 0.0;
+  for (int c = 0; c < caches; ++c) {
+    EXPECT_NEAR(ground_truth.PerCacheWeightedAverage(c) * duration,
+                brute_weighted[c], 1e-9 * (1.0 + brute_weighted[c]))
+        << "cache " << c;
+    total_weighted += brute_weighted[c];
+    total_unweighted += brute_unweighted[c];
+  }
+  EXPECT_NEAR(ground_truth.TotalWeightedAverage() * duration, total_weighted,
+              1e-9 * (1.0 + total_weighted));
+  EXPECT_NEAR(ground_truth.PerObjectUnweightedAverage() * duration *
+                  static_cast<double>(replicas.size()),
+              total_unweighted, 1e-9 * (1.0 + total_unweighted));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GroundTruthFuzzTest,
-                         ::testing::Values(11, 12, 13, 14, 15, 16));
+INSTANTIATE_TEST_SUITE_P(
+    TopologiesAndSeeds, GroundTruthFuzzTest,
+    ::testing::Combine(::testing::Values(InterestPattern::kSingleCache,
+                                         InterestPattern::kPartitionedBySource,
+                                         InterestPattern::kZipfOverlap,
+                                         InterestPattern::kFullReplication),
+                       ::testing::Values(11, 12, 13, 14, 15, 16)),
+    [](const ::testing::TestParamInfo<GroundTruthFuzzTest::ParamType>& info) {
+      std::string name = InterestPatternToString(std::get<0>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_" + std::to_string(std::get<1>(info.param));
+    });
 
 // ------------------------------------------------------ Link conservation
 

@@ -440,20 +440,6 @@ TEST(ShardPoolTest, ShardRangeTrailingShardsEmptyWhenCountBelowShards) {
   EXPECT_EQ(r3.first, r3.second);
 }
 
-TEST(ShardPoolTest, ShardOfInvertsShardRange) {
-  for (int64_t count : {1, 2, 5, 8, 17, 100}) {
-    for (int shards : {1, 2, 3, 4, 7, 16}) {
-      for (int s = 0; s < shards; ++s) {
-        const auto range = ShardPool::ShardRange(count, s, shards);
-        for (int64_t i = range.first; i < range.second; ++i) {
-          EXPECT_EQ(ShardPool::ShardOf(count, i, shards), s)
-              << "count=" << count << " shards=" << shards << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(ShardPoolTest, OversubscribedPoolStillProcessesEveryItemOnce) {
   // More lanes than items: trailing shards see empty ranges and must be
   // harmless — every item still processed exactly once across the team.

@@ -28,7 +28,12 @@ compares its bytes with the committed file without writing anything. It
 prints the first differing bench and row and exits nonzero on any
 difference: the committed baselines are the engine's reference output for
 the invalidation, relay, read and fault configs, so a behavior change
-anywhere in the engine shows up here.
+anywhere in the engine shows up here. For each differing baseline it also
+prints how many float fields changed and their largest relative
+difference, and whether any integer, string or structural field changed —
+so a numerics-only change (float bits moved, no behavior changed) can be
+told apart from a behavior change. This is a report, not a tolerance:
+any byte difference still fails.
 
 --scaling-check validates an (uncommitted) `bench_scale --perf` output:
 the perf member must carry a phase_breakdown and per-(point, run_threads)
@@ -40,6 +45,7 @@ smaller hosts, e.g. a 1-core CI container).
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -428,6 +434,51 @@ def first_difference(committed, recorded):
     return "same JSON content, different bytes (formatting)"
 
 
+def compare_values(old, new, path, drift):
+    """Walks two JSON values in step. Float leaves that differ are counted
+    in drift["floats"] with their largest relative difference in
+    drift["max_relative"]; any other change (integer, string, bool, type,
+    missing key, list length) is appended to drift["other"] by path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                drift["other"].append(f"{path}.{key}")
+            else:
+                compare_values(old[key], new[key], f"{path}.{key}", drift)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            drift["other"].append(f"{path} (length)")
+        for i, (a, b) in enumerate(zip(old, new)):
+            compare_values(a, b, f"{path}[{i}]", drift)
+    elif type(old) is float and type(new) is float:
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return
+        drift["floats"] += 1
+        scale = max(abs(old), abs(new))
+        relative = abs(old - new) / scale if math.isfinite(scale) else math.inf
+        drift["max_relative"] = max(drift["max_relative"], relative)
+    elif type(old) is not type(new) or old != new:
+        drift["other"].append(path)
+
+
+def drift_summary(committed, recorded):
+    """One line classifying how two baseline texts differ: float drift
+    (count, largest relative difference) versus integer/string/structural
+    changes. Reporting only — it never makes a difference acceptable."""
+    try:
+        old = json.loads(committed)
+    except json.JSONDecodeError:
+        return "committed file is not valid JSON"
+    drift = {"floats": 0, "max_relative": 0.0, "other": []}
+    compare_values(old, json.loads(recorded), "", drift)
+    other = drift["other"]
+    return (f"{drift['floats']} float field(s) changed (largest relative "
+            f"difference {drift['max_relative']:.3g}); "
+            + (f"{len(other)} integer/string/structural field(s) changed "
+               f"(first: {other[0]})" if other else
+               "no integer, string or structural field changed"))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build",
@@ -494,6 +545,8 @@ def main():
             continue
         print(f"record_bench: {profile} DIFFERS: "
               f"{first_difference(committed, recorded)}", file=sys.stderr)
+        print(f"record_bench: {profile} drift: "
+              f"{drift_summary(committed, recorded)}", file=sys.stderr)
         mismatched.append(profile)
     if mismatched:
         fail(f"{len(mismatched)} baseline(s) differ from a fresh recording: "
