@@ -18,6 +18,7 @@
 #include "priority/priority_queue.h"
 #include "sim/simulation.h"
 #include "util/random.h"
+#include "util/timer_wheel.h"
 
 namespace besync {
 namespace {
@@ -73,7 +74,7 @@ void BM_LazyHeapChurn(benchmark::State& state) {
   const int64_t n = state.range(0);
   LazyMaxHeap heap;
   std::vector<uint64_t> epochs(n, 0);
-  const EpochFn epoch_fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto epoch_fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   Rng rng(2);
   // Steady-state: push (update), occasionally pop (refresh).
   for (auto _ : state) {
@@ -156,6 +157,42 @@ void BM_SimulationEventChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulationEventChurn);
+
+// range(0) live timers; each iteration pops the earliest and, as the
+// harness's update process does, its callback schedules one successor at an
+// exponential delay (mean 20 s against the wheel's 1 s buckets). Time per
+// iteration is the wheel's cost per update event at that many live timers.
+class TimerWheelChurn {
+ public:
+  explicit TimerWheelChurn(int64_t live) : rng_(7) {
+    for (int64_t i = 0; i < live; ++i) Schedule(i, 0.0);
+  }
+
+  void PopAndFire() {
+    double time = 0.0;
+    WheelCallback callback;
+    wheel_.PopInto(&time, &callback);
+    callback(time);
+  }
+
+ private:
+  void Schedule(int64_t i, double now) {
+    wheel_.Push(now + rng_.Exponential(0.05), [this, i](double t) { Fire(i, t); });
+  }
+  void Fire(int64_t i, double t) {
+    benchmark::DoNotOptimize(i);
+    Schedule(i, t);
+  }
+
+  TimerWheel wheel_;
+  Rng rng_;
+};
+
+void BM_TimerWheelChurn(benchmark::State& state) {
+  TimerWheelChurn churn(state.range(0));
+  for (auto _ : state) churn.PopAndFire();
+}
+BENCHMARK(BM_TimerWheelChurn)->Arg(1000)->Arg(60000)->Arg(1000000);
 
 // End-to-end throughput: one full (small) cooperative run per iteration;
 // the counter reports simulated object-seconds per wall second.

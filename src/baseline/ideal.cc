@@ -86,7 +86,7 @@ void IdealCooperativeScheduler::MaybeCompact() {
 }
 
 void IdealCooperativeScheduler::Tick(double t) {
-  const EpochFn epoch_fn = [this](ObjectIndex i) { return epochs_[i]; };
+  const auto epoch_fn = [this](ObjectIndex i) { return epochs_[i]; };
   int64_t budget = cache_bandwidth_->BudgetForTick(t, tick_length_) + cache_debt_;
   for (size_t j = 0; j < source_bandwidths_.size(); ++j) {
     source_budget_[j] =

@@ -199,9 +199,7 @@ void SourceAgent::Start(Simulation* sim, double tick_length) {
         if (channels_[c].slot_of[k] < 0) continue;
         // Stagger initial samples so sampling load is spread over time.
         const double offset = rng->Uniform(0.0, config_.sampling_interval);
-        sim->ScheduleAt(offset, [this, c, index](double t) {
-          OnSampleEvent(c, index, t, sim_);
-        });
+        ScheduleSample(c, index, offset, sim);
       }
     }
   }
@@ -311,8 +309,17 @@ void SourceAgent::ScheduleNextSample(int channel_index, ObjectIndex index, doubl
     const double candidate = std::max(now + config_.min_sampling_gap, predicted * 0.95);
     next = std::min(next, candidate);
   }
-  sim->ScheduleAt(next, [this, channel_index, index](double t) {
-    OnSampleEvent(channel_index, index, t, sim_);
+  ScheduleSample(channel_index, index, next, sim);
+}
+
+void SourceAgent::ScheduleSample(int channel_index, ObjectIndex index, double time,
+                                 Simulation* sim) {
+  // Two 32-bit fields beside `this` keep the capture within the event's
+  // inline storage.
+  const int32_t channel = channel_index;
+  const int32_t member = static_cast<int32_t>(index - first_member_);
+  sim->ScheduleAt(time, [this, channel, member](double t) {
+    OnSampleEvent(channel, first_member_ + member, t, sim_);
   });
 }
 

@@ -288,9 +288,8 @@ class SourceAgent {
   };
 
   /// Inlined epoch resolver over a channel's local-state table. A plain
-  /// struct (not a type-erased EpochFn) so the heap templates inline the
-  /// lookup — the staleness check runs once per heap comparison on the
-  /// send-phase hot path.
+  /// struct so the heap templates inline the lookup — the staleness check
+  /// runs once per heap comparison on the send-phase hot path.
   struct ChannelEpoch {
     const LocalState* locals;
     const int32_t* slot_of;
@@ -328,6 +327,9 @@ class SourceAgent {
   void OnSampleEvent(int channel_index, ObjectIndex index, double t, Simulation* sim);
   void ScheduleNextSample(int channel_index, ObjectIndex index, double now,
                           Simulation* sim);
+  /// Schedules `index`'s next sample toward `channel_index` at `time`.
+  void ScheduleSample(int channel_index, ObjectIndex index, double time,
+                      Simulation* sim);
   /// Sends one refresh for `index` to `channel`'s cache (budget already
   /// secured). Threshold bumping applies only to refreshes governed by the
   /// threshold protocol. `priority` is the queue key that won the send slot,

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "data/object.h"
@@ -23,12 +22,6 @@ struct QueueEntry {
   uint64_t epoch = 0;
 };
 
-/// Resolves an object's current epoch (for staleness checks). The heap
-/// methods are templated on the resolver so hot callers can pass a plain
-/// struct functor (inlined epoch lookups); this alias remains for callers
-/// where a type-erased resolver is convenient.
-using EpochFn = std::function<uint64_t(ObjectIndex)>;
-
 namespace heap_internal {
 // Struct comparators so std::push_heap/pop_heap inline the comparison (a
 // free function decays to a function pointer, costing an indirect call per
@@ -45,7 +38,10 @@ struct KeyGreater {
 };
 }  // namespace heap_internal
 
-/// Max-heap on QueueEntry::key with lazy invalidation.
+/// Max-heap on QueueEntry::key with lazy invalidation. Methods that check
+/// staleness take the epoch resolver, a callable `uint64_t(ObjectIndex)`
+/// returning an object's current epoch, as a template parameter so the
+/// lookup inlines into every heap step.
 class LazyMaxHeap {
  public:
   void Push(double key, ObjectIndex index, uint64_t epoch) {

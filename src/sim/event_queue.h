@@ -2,14 +2,16 @@
 #define BESYNC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "util/timer_wheel.h"
 
 namespace besync {
 
 /// Callback invoked when an event fires; receives the event's timestamp.
-using EventCallback = std::function<void(double)>;
+/// An inline trivially copyable callable of at most
+/// WheelCallback::kStorageBytes (see util/timer_wheel.h): capture `this`
+/// plus an index, or a reference, never an owning object.
+using EventCallback = WheelCallback;
 
 /// Timestamped event queue with stable FIFO ordering among events scheduled
 /// for the same instant (ties broken by insertion sequence).
@@ -29,7 +31,7 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   void Push(double time, EventCallback callback) {
-    wheel_.Push(time, std::move(callback));
+    wheel_.Push(time, callback);
   }
 
   bool empty() const { return wheel_.empty(); }

@@ -1,19 +1,17 @@
 #include "sim/simulation.h"
 
-#include <utility>
-
 #include "util/logging.h"
 
 namespace besync {
 
 void Simulation::ScheduleAt(double time, EventCallback callback) {
   BESYNC_CHECK_GE(time, now_);
-  queue_.Push(time, std::move(callback));
+  queue_.Push(time, callback);
 }
 
 void Simulation::ScheduleAfter(double delay, EventCallback callback) {
   BESYNC_CHECK_GE(delay, 0.0);
-  queue_.Push(now_ + delay, std::move(callback));
+  queue_.Push(now_ + delay, callback);
 }
 
 void Simulation::RunUntil(double time) {

@@ -13,13 +13,13 @@ namespace {
 // reaches it, small enough that bucket arithmetic (+slots_) cannot
 // overflow. Bucketing stays monotone under saturation, which is all the
 // exactness argument needs (ties inside one bucket are settled by the
-// near heap on actual (time, seq)).
+// near region on actual (time, seq)).
 constexpr double kMaxBucket = 9.0e15;
 
-int64_t FloorDiv(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
+int Log2(int64_t power_of_two) {
+  int shift = 0;
+  while ((int64_t{1} << shift) < power_of_two) ++shift;
+  return shift;
 }
 
 }  // namespace
@@ -27,11 +27,14 @@ int64_t FloorDiv(int64_t a, int64_t b) {
 TimerWheel::TimerWheel(Options options)
     : resolution_(options.resolution),
       slots_(options.level_slots),
+      shift_(Log2(options.level_slots)),
+      mask_(slots_ - 1),
       level0_(options.level_slots),
       level1_(options.level_slots),
       cur_bucket_(-1) {
   BESYNC_CHECK(resolution_ > 0.0) << "wheel resolution must be positive";
-  BESYNC_CHECK(slots_ >= 2) << "wheel needs at least 2 slots per level";
+  BESYNC_CHECK(slots_ >= 2 && (slots_ & mask_) == 0)
+      << "wheel slots per level must be a power of two >= 2";
 }
 
 int64_t TimerWheel::BucketOf(double time) const {
@@ -42,35 +45,26 @@ int64_t TimerWheel::BucketOf(double time) const {
 }
 
 void TimerWheel::Push(double time, WheelCallback callback) {
-  uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(callback));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    callbacks_[slot] = std::move(callback);
-  }
-  const Item item{time, next_seq_++, slot};
+  const Item item{time, next_seq_++, callback};
   ++size_;
   const int64_t bucket = BucketOf(time);
   if (bucket <= cur_bucket_) {
-    near_.push_back(item);
-    std::push_heap(near_.begin(), near_.end(), LaterCmp{});
+    late_.push_back(item);
+    std::push_heap(late_.begin(), late_.end(), LaterCmp{});
     return;
   }
   PlaceInWheel(item, bucket);
 }
 
-void TimerWheel::PlaceInWheel(Item item, int64_t bucket) {
+void TimerWheel::PlaceInWheel(const Item& item, int64_t bucket) {
   if (bucket - cur_bucket_ <= slots_) {
-    level0_[bucket % slots_].push_back(item);
+    level0_[bucket & mask_].push_back(item);
     ++level0_count_;
     return;
   }
-  const int64_t b1 = FloorDiv(bucket, slots_);
-  if (b1 - FloorDiv(cur_bucket_, slots_) <= slots_) {
-    level1_[b1 % slots_].push_back(item);
+  const int64_t b1 = bucket >> shift_;
+  if (b1 - (cur_bucket_ >> shift_) <= slots_) {
+    level1_[b1 & mask_].push_back(item);
     ++level1_count_;
     return;
   }
@@ -78,75 +72,89 @@ void TimerWheel::PlaceInWheel(Item item, int64_t bucket) {
   far_.push_back(item);
 }
 
-void TimerWheel::Cascade(int64_t b1) {
-  std::vector<Item>& bucket = level1_[b1 % slots_];
-  if (bucket.empty()) return;
-  level1_count_ -= bucket.size();
-  for (const Item& item : bucket) {
+void TimerWheel::Redistribute(std::vector<Item> items) {
+  for (const Item& item : items) {
     const int64_t b0 = BucketOf(item.time);
     if (b0 <= cur_bucket_) {
       near_.push_back(item);
-      std::push_heap(near_.begin(), near_.end(), LaterCmp{});
     } else {
       PlaceInWheel(item, b0);
     }
   }
-  bucket.clear();
+}
+
+void TimerWheel::Cascade(int64_t b1) {
+  std::vector<Item>& bucket = level1_[b1 & mask_];
+  level1_count_ -= bucket.size();
+  Redistribute(std::move(bucket));
+  // The level-1 window just advanced by one bucket. Far timers now inside
+  // it must join level 1 before anything pushed from here on lands there,
+  // or a later push in the same level-1 bucket would pop first.
+  if (!far_.empty() && (BucketOf(far_min_time_) >> shift_) - b1 <= slots_) {
+    Redistribute(std::move(far_));
+  }
 }
 
 void TimerWheel::Prepare() {
-  while (near_.empty()) {
+  while (near_.empty() && late_.empty()) {
     if (level0_count_ > 0) {
       // Step one bucket: cascade on level-1 boundary crossings, then drain
-      // the bucket that just entered the near region.
+      // the bucket that just entered the near region. Shifts of the
+      // bucket index are floor divisions (arithmetic shift; cur_bucket_
+      // starts at -1).
       ++cur_bucket_;
-      if (cur_bucket_ % slots_ == 0) Cascade(FloorDiv(cur_bucket_, slots_));
-      std::vector<Item>& bucket = level0_[cur_bucket_ % slots_];
+      if ((cur_bucket_ & mask_) == 0) Cascade(cur_bucket_ >> shift_);
+      std::vector<Item>& bucket = level0_[cur_bucket_ & mask_];
       level0_count_ -= bucket.size();
-      for (const Item& item : bucket) {
-        near_.push_back(item);
-        std::push_heap(near_.begin(), near_.end(), LaterCmp{});
+      if (near_.empty()) {
+        near_.swap(bucket);  // adopt the bucket's storage as the near region
+      } else {
+        // The cascade just put timers of this bucket in the near region.
+        near_.insert(near_.end(), bucket.begin(), bucket.end());
       }
-      bucket.clear();
+      std::vector<Item>().swap(bucket);
     } else if (level1_count_ > 0) {
       // Level 0 is dry: jump straight to the next level-1 boundary.
-      cur_bucket_ = (FloorDiv(cur_bucket_, slots_) + 1) * slots_;
-      Cascade(FloorDiv(cur_bucket_, slots_));
+      cur_bucket_ = ((cur_bucket_ >> shift_) + 1) * slots_;
+      Cascade(cur_bucket_ >> shift_);
     } else {
       // Wheels are dry: jump to the far list's minimum and re-bucket it.
       BESYNC_CHECK(!far_.empty()) << "TimerWheel::Prepare on an empty wheel";
       cur_bucket_ = BucketOf(far_min_time_) - 1;
-      std::vector<Item> pending;
-      pending.swap(far_);
-      for (const Item& item : pending) {
-        const int64_t b0 = BucketOf(item.time);
-        if (b0 <= cur_bucket_) {
-          near_.push_back(item);
-          std::push_heap(near_.begin(), near_.end(), LaterCmp{});
-        } else {
-          PlaceInWheel(item, b0);
-        }
-      }
+      Redistribute(std::move(far_));
     }
+    std::sort(near_.begin(), near_.end(), LaterCmp{});
   }
+}
+
+size_t TimerWheel::capacity() const {
+  size_t slots = near_.capacity() + late_.capacity() + far_.capacity();
+  for (const std::vector<Item>& bucket : level0_) slots += bucket.capacity();
+  for (const std::vector<Item>& bucket : level1_) slots += bucket.capacity();
+  return slots;
+}
+
+bool TimerWheel::LateFirst() const {
+  return !late_.empty() && (near_.empty() || LaterCmp{}(near_.back(), late_.front()));
 }
 
 double TimerWheel::NextTime() {
   BESYNC_CHECK(size_ > 0) << "TimerWheel::NextTime on an empty wheel";
   Prepare();
-  return near_.front().time;
+  return LateFirst() ? late_.front().time : near_.back().time;
 }
 
 void TimerWheel::PopInto(double* time, WheelCallback* callback) {
   BESYNC_CHECK(size_ > 0) << "TimerWheel::PopInto on an empty wheel";
   Prepare();
-  std::pop_heap(near_.begin(), near_.end(), LaterCmp{});
-  const Item item = near_.back();
-  near_.pop_back();
-  *time = item.time;
-  *callback = std::move(callbacks_[item.slot]);
-  callbacks_[item.slot] = nullptr;
-  free_slots_.push_back(item.slot);
+  std::vector<Item>* from = &near_;
+  if (LateFirst()) {
+    std::pop_heap(late_.begin(), late_.end(), LaterCmp{});
+    from = &late_;
+  }
+  *time = from->back().time;
+  *callback = from->back().callback;
+  from->pop_back();
   --size_;
 }
 

@@ -3,13 +3,60 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 namespace besync {
 
 /// Callback fired when a timer is popped; receives the timer's timestamp.
-using WheelCallback = std::function<void(double)>;
+///
+/// A trivially copyable inline callable: one function pointer plus
+/// kStorageBytes of storage holding the callable itself. Any trivially
+/// copyable callable that fits (a lambda capturing `this` and an index, or
+/// a reference or two) converts implicitly; anything larger or with a
+/// non-trivial copy (a type-erased function object, a capture of a vector)
+/// is rejected at compile time. Timers therefore carry their callback by
+/// value through every bucket, sort and heap sift with no allocation, no
+/// indirection and no destructor.
+class WheelCallback {
+ public:
+  static constexpr size_t kStorageBytes = 16;
+
+  WheelCallback() = default;
+
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, WheelCallback>>>
+  WheelCallback(F callable) : invoke_(&Invoke<F>) {  // NOLINT: implicit by design
+    static_assert(std::is_trivially_copyable_v<F>,
+                  "timer callbacks must be trivially copyable: capture indices "
+                  "and pointers, not owning objects");
+    static_assert(sizeof(F) <= kStorageBytes,
+                  "timer callback captures more than WheelCallback::kStorageBytes");
+    static_assert(alignof(F) <= alignof(Storage), "timer callback over-aligned");
+    static_assert(std::is_invocable_v<F&, double>,
+                  "timer callback must be callable as void(double)");
+    ::new (static_cast<void*>(&storage_)) F(callable);
+  }
+
+  void operator()(double time) { invoke_(&storage_, time); }
+
+ private:
+  struct alignas(8) Storage {
+    unsigned char bytes[kStorageBytes];
+  };
+
+  template <typename F>
+  static void Invoke(Storage* storage, double time) {
+    (*std::launder(reinterpret_cast<F*>(storage)))(time);
+  }
+
+  Storage storage_{};
+  void (*invoke_)(Storage*, double) = nullptr;
+};
+
+static_assert(std::is_trivially_copyable_v<WheelCallback>,
+              "WheelCallback must stay a POD-like value");
 
 /// Hierarchical timer wheel with an *exact* global pop order: timers pop in
 /// strictly increasing (time, insertion-sequence) order — bit-for-bit the
@@ -21,28 +68,36 @@ using WheelCallback = std::function<void(double)>;
 ///
 /// Structure (continuous double timestamps, bucketed at `resolution` r with
 /// N = `level_slots` slots per level):
-///   - near heap: every timer whose level-0 bucket index floor(t/r) is at or
-///     before the current bucket. This is the only region ordered by
-///     (time, seq), and it is a plain binary heap.
+///   - near region: every timer whose level-0 bucket index floor(t/r) is at
+///     or before the current bucket. This is the only region ordered by
+///     (time, seq). It is a run sorted latest-first when its bucket was
+///     drained (popped from the back), plus a binary heap of the timers
+///     pushed into the current bucket after that; a pop takes the earlier
+///     of the two tops.
 ///   - level 0: the next N buckets of width r, unsorted vectors.
 ///   - level 1: the next N buckets of width N*r, unsorted.
-///   - far list: everything beyond the N*N*r horizon, with a cached minimum
-///     time; re-bucketed wholesale when the wheels drain past it.
+///   - far list: everything beyond the level-1 window, with a cached
+///     minimum time; re-bucketed wholesale as soon as that minimum enters
+///     the window (checked at each level-1 boundary), or jumped to when the
+///     wheels run dry. Every far timer is thus later than every wheel timer.
 ///
 /// Exactness argument: floor-bucketing partitions the time axis, so every
-/// timer outside the near heap has time >= (current bucket + 1) * r, which
-/// is strictly greater than every near-heap timer's time. Popping the near
-/// heap to exhaustion before advancing the wheel therefore always pops the
-/// global (time, seq) minimum, and timers with equal times share a bucket by
-/// construction, so the heap's seq tie-break settles them exactly as the
-/// monolithic heap did. Timers pushed at-or-before the current bucket
-/// (including past times) go straight to the near heap, preserving the
-/// invariant.
+/// timer outside the near region has time >= (current bucket + 1) * r,
+/// which is strictly greater than every near timer's time. Emptying the
+/// near region before advancing the wheel therefore always pops the global
+/// (time, seq) minimum, and timers with equal times share a bucket by
+/// construction, so the (time, seq) order inside the region settles them
+/// exactly as a monolithic heap would. Timers pushed at-or-before the
+/// current bucket (including past times) go straight to the near region's
+/// heap, preserving the invariant.
 ///
-/// The callbacks themselves live in a recycled slab; the items routed
-/// through the buckets and sifted through the near heap are 24-byte PODs
-/// carrying a slab slot. Heap maintenance therefore never touches
-/// std::function move machinery — the dominant cost of a heap of closures.
+/// Each timer is one 40-byte trivially copyable item, (time, seq) plus its
+/// inline callback, so buckets, the sort and the heap move plain bytes. A
+/// bucket that enters the near region hands all its items over at once and
+/// they are ordered by one sort, which costs less than a heap pop per item
+/// (make_heap plus pop_heap measured slower end to end). The drained bucket
+/// then gives its storage back, so memory follows the live timers, not the
+/// busiest interval each slot has ever seen.
 ///
 /// Not thread-safe; one wheel per simulation.
 class TimerWheel {
@@ -52,7 +107,8 @@ class TimerWheel {
     /// correct (ordering never depends on it); it tunes only how much work
     /// advancing does. The default matches the 1s harness tick.
     double resolution = 1.0;
-    /// Slots per level (two levels: horizon = slots^2 * resolution).
+    /// Slots per level (two levels: horizon = slots^2 * resolution). A power
+    /// of two, so slot and level arithmetic are shifts and masks.
     int level_slots = 256;
   };
 
@@ -67,24 +123,29 @@ class TimerWheel {
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
+  /// Item slots allocated across the near region, both levels and the far
+  /// list; O(level_slots). Stays within a small multiple of the peak live
+  /// count, however the timers move across buckets over time.
+  size_t capacity() const;
+
   /// Timestamp of the earliest timer; wheel must be non-empty. Non-const:
-  /// may advance buckets into the near heap.
+  /// may advance buckets into the near region.
   double NextTime();
 
   /// Pops the earliest timer into (time, callback); wheel must be non-empty.
   void PopInto(double* time, WheelCallback* callback);
 
  private:
-  /// POD routed through buckets and the near heap; `slot` indexes the
-  /// callback slab.
+  /// Routed through buckets and the near region; trivially copyable.
   struct Item {
     double time;
     uint64_t seq;
-    uint32_t slot;
+    WheelCallback callback;
   };
 
-  // Near-heap ordering: earlier time first; FIFO for equal times. A struct
-  // (not a free function) so std::push_heap/pop_heap inline the comparison.
+  // Near-region ordering: true when `a` pops after `b` (later time; FIFO
+  // for equal times). A struct (not a free function) so std::sort and the
+  // heap algorithms inline the comparison.
   struct LaterCmp {
     bool operator()(const Item& a, const Item& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -94,25 +155,34 @@ class TimerWheel {
 
   int64_t BucketOf(double time) const;
 
-  /// Ensures the near heap holds the global minimum (fills it from the
+  /// Ensures the near region holds the global minimum (fills it from the
   /// wheels/far list when empty). Requires size_ > 0.
   void Prepare();
 
-  /// Moves every timer of level-1 bucket `b1` into level 0 / the near heap.
+  /// After Prepare: whether the earliest timer is late_'s top rather than
+  /// near_'s back.
+  bool LateFirst() const;
+
+  /// Moves every timer of level-1 bucket `b1` into level 0 / the near region.
   void Cascade(int64_t b1);
 
-  /// Routes one item already known not to belong to the near heap.
-  void PlaceInWheel(Item item, int64_t bucket);
+  /// Routes every item of `items` to the near region (unordered; Prepare
+  /// sorts it) or into the wheel. Callers move a bucket or the far list in,
+  /// which leaves it empty and frees its storage on return.
+  void Redistribute(std::vector<Item> items);
+
+  /// Routes one item already known not to belong to the near region.
+  void PlaceInWheel(const Item& item, int64_t bucket);
 
   const double resolution_;
   const int64_t slots_;
-  std::vector<Item> near_;                  // binary heap under LaterCmp
-  std::vector<std::vector<Item>> level0_;   // bucket b at slot b % slots_
+  const int shift_;                         // log2(slots_)
+  const int64_t mask_;                      // slots_ - 1
+  std::vector<Item> near_;                  // sorted by LaterCmp: pop back
+  std::vector<Item> late_;                  // binary heap under LaterCmp
+  std::vector<std::vector<Item>> level0_;   // bucket b at slot b & mask_
   std::vector<std::vector<Item>> level1_;
   std::vector<Item> far_;
-  /// Callback slab indexed by Item::slot, with a free list of popped slots.
-  std::vector<WheelCallback> callbacks_;
-  std::vector<uint32_t> free_slots_;
   double far_min_time_ = 0.0;
   int64_t cur_bucket_;                      // near/wheel boundary (absolute)
   size_t level0_count_ = 0;

@@ -244,7 +244,7 @@ TEST(EstimateLambdaTest, AllModes) {
 TEST(LazyMaxHeapTest, PopsInPriorityOrder) {
   LazyMaxHeap heap;
   std::vector<uint64_t> epochs(3, 1);
-  const EpochFn fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   heap.Push(1.0, 0, 1);
   heap.Push(3.0, 1, 1);
   heap.Push(2.0, 2, 1);
@@ -261,7 +261,7 @@ TEST(LazyMaxHeapTest, PopsInPriorityOrder) {
 TEST(LazyMaxHeapTest, StaleEntriesSkipped) {
   LazyMaxHeap heap;
   std::vector<uint64_t> epochs(2, 1);
-  const EpochFn fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   heap.Push(5.0, 0, 1);  // will be stale
   heap.Push(1.0, 1, 1);
   epochs[0] = 2;          // invalidate object 0's entry
@@ -277,7 +277,7 @@ TEST(LazyMaxHeapTest, StaleEntriesSkipped) {
 TEST(LazyMaxHeapTest, PeekDoesNotRemove) {
   LazyMaxHeap heap;
   std::vector<uint64_t> epochs(1, 1);
-  const EpochFn fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   heap.Push(2.0, 0, 1);
   QueueEntry entry;
   ASSERT_TRUE(heap.PeekValid(fn, &entry));
@@ -288,7 +288,7 @@ TEST(LazyMaxHeapTest, PeekDoesNotRemove) {
 TEST(LazyMaxHeapTest, CompactDropsStale) {
   LazyMaxHeap heap;
   std::vector<uint64_t> epochs(4, 0);
-  const EpochFn fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   for (int round = 0; round < 100; ++round) {
     for (ObjectIndex i = 0; i < 4; ++i) {
       ++epochs[i];
@@ -306,7 +306,7 @@ TEST(LazyMaxHeapTest, CompactDropsStale) {
 TEST(LazyMaxHeapTest, RestorePutsEntryBack) {
   LazyMaxHeap heap;
   std::vector<uint64_t> epochs(1, 1);
-  const EpochFn fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   heap.Push(2.0, 0, 1);
   QueueEntry entry;
   ASSERT_TRUE(heap.PopValid(fn, &entry));
@@ -318,7 +318,7 @@ TEST(LazyMaxHeapTest, RestorePutsEntryBack) {
 TEST(TimeMinHeapTest, PopsOnlyDueEntries) {
   TimeMinHeap heap;
   std::vector<uint64_t> epochs(3, 1);
-  const EpochFn fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   heap.Push(5.0, 0, 1);
   heap.Push(1.0, 1, 1);
   heap.Push(3.0, 2, 1);
@@ -335,7 +335,7 @@ TEST(TimeMinHeapTest, PopsOnlyDueEntries) {
 TEST(TimeMinHeapTest, StaleEntriesSkipped) {
   TimeMinHeap heap;
   std::vector<uint64_t> epochs(1, 1);
-  const EpochFn fn = [&epochs](ObjectIndex i) { return epochs[i]; };
+  const auto fn = [&epochs](ObjectIndex i) { return epochs[i]; };
   heap.Push(1.0, 0, 1);
   epochs[0] = 2;
   heap.Push(2.0, 0, 2);

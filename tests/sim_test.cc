@@ -1,3 +1,4 @@
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,11 +104,15 @@ TEST(SimulationTest, SelfReschedulingEventChain) {
   // Mimics the update-process pattern: each event schedules the next.
   Simulation sim;
   int count = 0;
+  // Events hold trivially copyable callables, so the chain schedules a
+  // reference to the rescheduling function rather than a copy of it.
   std::function<void(double)> reschedule = [&](double t) {
     ++count;
-    if (t + 1.0 <= 100.0) sim.ScheduleAt(t + 1.0, reschedule);
+    if (t + 1.0 <= 100.0) {
+      sim.ScheduleAt(t + 1.0, [&reschedule](double t2) { reschedule(t2); });
+    }
   };
-  sim.ScheduleAt(1.0, reschedule);
+  sim.ScheduleAt(1.0, [&reschedule](double t) { reschedule(t); });
   sim.RunUntil(100.0);
   EXPECT_EQ(count, 100);
 }

@@ -1,7 +1,11 @@
 #include "util/timer_wheel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +50,43 @@ std::vector<int> DrainOrder(TimerWheel* wheel, const std::vector<Ref>& refs) {
   }
   return order;
 }
+
+/// Interleaved push/pop driver checked against the same reference: the
+/// timers pending at each pop, kept ordered by (time, push index), which is
+/// the stable sort by time of what is left.
+class InterleavedChecker {
+ public:
+  explicit InterleavedChecker(TimerWheel* wheel) : wheel_(wheel) {}
+
+  void Push(double time) {
+    const int id = next_id_++;
+    pending_.insert({time, id});
+    wheel_->Push(time, [this, id](double) { fired_ = id; });
+  }
+
+  /// Pops one timer and checks it is the earliest pending one.
+  void Pop() {
+    ASSERT_FALSE(pending_.empty());
+    const std::pair<double, int> expected = *pending_.begin();
+    pending_.erase(pending_.begin());
+    EXPECT_EQ(wheel_->NextTime(), expected.first);
+    double time = 0.0;
+    WheelCallback callback;
+    wheel_->PopInto(&time, &callback);
+    callback(time);
+    ASSERT_EQ(fired_, expected.second);
+    ASSERT_EQ(time, expected.first);
+    ASSERT_EQ(wheel_->size(), pending_.size());
+  }
+
+  size_t pending() const { return pending_.size(); }
+
+ private:
+  TimerWheel* wheel_;
+  std::set<std::pair<double, int>> pending_;
+  int next_id_ = 0;
+  int fired_ = -1;
+};
 
 TEST(TimerWheelTest, PopsInTimeOrderWithFifoTies) {
   TimerWheel wheel;
@@ -155,6 +196,106 @@ TEST(TimerWheelTest, SizeTracksAcrossRegions) {
   wheel.PopInto(&time, &callback);
   EXPECT_EQ(time, 1.0e6);
   EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimerWheelTest, CascadeIntoNearThenLevelZeroDrainKeepsBoth) {
+  // One Prepare() crosses a level-1 boundary whose cascade puts timers
+  // straight into the near region, then drains the level-0 bucket of that
+  // same boundary into it. Neither set may be dropped.
+  TimerWheel::Options options;
+  options.level_slots = 4;
+  TimerWheel wheel(options);
+  InterleavedChecker checker(&wheel);
+  checker.Push(0.5);
+  checker.Push(4.5);   // bucket 4 is beyond level 0 here: parked in level 1
+  checker.Push(4.75);
+  checker.Push(6.0);
+  checker.Pop();       // 0.5: the wheel now stands at bucket 0
+  checker.Push(4.25);  // bucket 4 is now within level 0
+  checker.Push(4.5);
+  checker.Push(7.0);
+  while (checker.pending() > 0) checker.Pop();
+}
+
+TEST(TimerWheelTest, RandomizedInterleavedStress) {
+  // Small resolution and few slots so cascades, far-list re-bucketing and
+  // pushes into the current bucket all happen often.
+  Rng rng(20261017);
+  for (int round = 0; round < 12; ++round) {
+    TimerWheel::Options options;
+    options.resolution = round % 3 == 0 ? 0.25 : (round % 3 == 1 ? 1.0 : 0.0625);
+    options.level_slots = round % 2 == 0 ? 2 : 8;
+    TimerWheel wheel(options);
+    InterleavedChecker checker(&wheel);
+    double now = 0.0;
+    for (int op = 0; op < 20000; ++op) {
+      if (checker.pending() > 0 && rng.Bernoulli(0.5)) {
+        now = wheel.NextTime();
+        checker.Pop();
+        continue;
+      }
+      double delay = 0.0;
+      switch (rng.UniformInt(0, 5)) {
+        case 0: delay = 0.0; break;  // ties with the time just popped
+        case 1: delay = rng.Uniform(0.0, options.resolution); break;
+        case 2: delay = rng.Exponential(1.0); break;
+        case 3: delay = rng.Uniform(0.0, 40.0); break;
+        case 4: delay = rng.Uniform(0.0, 2000.0); break;
+        default: delay = std::floor(rng.Uniform(0.0, 8.0)); break;
+      }
+      checker.Push(now + delay);
+    }
+    while (checker.pending() > 0) checker.Pop();
+    EXPECT_TRUE(wheel.empty()) << "round " << round;
+  }
+}
+
+TEST(TimerWheelTest, CallbackCarriesPointerAndInt64Payload) {
+  TimerWheel::Options options;
+  options.level_slots = 4;
+  TimerWheel wheel(options);
+  std::vector<int64_t> got;
+  const std::vector<int64_t> payloads = {
+      0, -1, 0x0123456789abcdefLL, std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::max(), 42};
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    std::vector<int64_t>* out = &got;
+    const int64_t payload = payloads[i];
+    // Spread over near, level 0, level 1 and the far list.
+    const double time = static_cast<double>(i * i * i * 7);
+    wheel.Push(time, [out, payload](double) { out->push_back(payload); });
+  }
+  while (!wheel.empty()) {
+    double time = 0.0;
+    WheelCallback callback;
+    wheel.PopInto(&time, &callback);
+    WheelCallback copy = callback;
+    copy(time);
+  }
+  EXPECT_EQ(got, payloads);
+}
+
+TEST(TimerWheelTest, CapacityFollowsLiveTimers) {
+  // 1M timers churn through the wheel with exactly 1k live at any time, the
+  // harness pattern: each pop schedules one successor at an exponential
+  // delay. Drained buckets must give their storage back, so the slots held
+  // stay a small multiple of the live count rather than accumulating every
+  // slot's busiest interval.
+  constexpr int kLive = 1000;
+  constexpr int kEvents = 1000000;
+  TimerWheel wheel;
+  Rng rng(7);
+  for (int i = 0; i < kLive; ++i) wheel.Push(rng.Exponential(1.0 / 30.0), [](double) {});
+  size_t peak_capacity = 0;
+  for (int i = 0; i < kEvents; ++i) {
+    double time = 0.0;
+    WheelCallback callback;
+    wheel.PopInto(&time, &callback);
+    wheel.Push(time + rng.Exponential(1.0 / 30.0), [](double) {});
+    if (i % 64 == 0) peak_capacity = std::max(peak_capacity, wheel.capacity());
+  }
+  EXPECT_EQ(wheel.size(), static_cast<size_t>(kLive));
+  EXPECT_LE(peak_capacity, 4u * kLive);
 }
 
 }  // namespace
