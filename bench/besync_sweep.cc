@@ -50,7 +50,7 @@
 #include "bench_common.h"
 #include "data/buoy_trace.h"
 #include "exp/runner.h"
-#include "util/thread_pool.h"
+#include "util/shard_pool.h"
 
 namespace besync {
 namespace {
@@ -312,7 +312,7 @@ int Run(const BenchOptions& options) {
 
   std::fprintf(stderr, "besync_sweep: %d configurations on %d thread(s)%s\n",
                static_cast<int>(jobs.size()),
-               options.threads <= 0 ? ThreadPool::HardwareThreads() : options.threads,
+               options.threads <= 0 ? ShardPool::HardwareThreads() : options.threads,
                skipped > 0 ? " (multi-cache baseline combos skipped)" : "");
 
   const std::vector<JobResult> results =

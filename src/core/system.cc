@@ -41,21 +41,7 @@ void RecordDeliveryTrace(TraceBuffer* trace, const Message& message, double t) {
 CooperativeScheduler::CooperativeScheduler(const CooperativeConfig& config)
     : config_(config),
       policy_(MakePolicy(config.policy, config.history_beta)),
-      protocol_(SyncProtocol::Make(config.protocol)) {
-  // Scheduler-level tallies live in the metrics registry: registered once
-  // here, bumped at exactly one site each, and zeroed wholesale by
-  // metrics_.Reset() (Initialize and the measurement-start reset) — so the
-  // reset can never silently miss a newly added counter.
-  relay_control_moved_ = metrics_.AddCounter("relay_control_moved");
-  cache_crashes_ = metrics_.AddCounter("cache_crashes");
-  cache_restarts_ = metrics_.AddCounter("cache_restarts");
-  relay_failures_ = metrics_.AddCounter("relay_failures");
-  link_down_events_ = metrics_.AddCounter("link_down_events");
-  slowdown_events_ = metrics_.AddCounter("slowdown_events");
-  resync_deliveries_ = metrics_.AddCounter("resync_deliveries");
-  // Restart-to-fully-refilled durations of completed resync episodes.
-  resync_digest_ = metrics_.AddHistogram("time_to_resync");
-}
+      protocol_(SyncProtocol::Make(config.protocol)) {}
 
 void CooperativeScheduler::Initialize(Harness* harness) {
   harness_ = harness;
@@ -122,7 +108,8 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     cache_down_.assign(static_cast<size_t>(num_caches), 0);
     resync_.assign(static_cast<size_t>(num_caches), ResyncState{});
   }
-  metrics_.Reset();
+  tallies_ = {};
+  resync_digest_.Reset();
 
   // The paper's P_feedback estimate, per cache: sources interested in the
   // cache / the cache's average bandwidth. Floored at one tick: feedback is
@@ -228,15 +215,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     columns.push_back("staleness_mean");
     columns.push_back("pending_pulls");
     columns.push_back("resync_outstanding");
-    if (config_.obs.sample_phase_nanos && config_.phase_timer != nullptr) {
-      // Opt-in wall-clock columns: nondeterministic by nature, so they are
-      // never part of the byte-stable default schema.
-      for (int p = 0; p < PhaseTimer::kNumPhases; ++p) {
-        columns.push_back(std::string("phase_") +
-                          PhaseTimer::Name(static_cast<PhaseTimer::Phase>(p)) +
-                          "_nanos");
-      }
-    }
     obs_->series()->Configure(std::move(columns), config_.obs.sample_interval,
                               config_.obs.max_samples);
     obs_row_.assign(obs_->series()->columns().size(), 0.0);
@@ -256,9 +234,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
         network_->edge_link(relays_[r]->node_id()).SetTrace(buffer,
                                                             relays_[r]->node_id());
       }
-    }
-    if (config_.phase_timer != nullptr) {
-      obs_prev_phase_ = config_.phase_timer->TakeSnapshot();
     }
   }
 }
@@ -427,7 +402,7 @@ void CooperativeScheduler::Tick(double t) {
     //    first pump the mail up to the tier-1 edges (same-tick, so control
     //    latency stays one tick at any depth); flat tier-1 nodes are the
     //    caches themselves and the pump is a no-op.
-    relay_control_moved_->Increment(network_->PumpControlUpstream());
+    tallies_.relay_control_moved += network_->PumpControlUpstream();
     for (int32_t node : network_->tier1_nodes()) {
       for (int32_t j : sources_by_node_[node]) {
         for (const Message& message : network_->TakeSourceMail(node, j)) {
@@ -591,7 +566,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       const int c = event.node;
       if (cache_down_[c] != 0) return;  // already down
       cache_down_[c] = 1;
-      cache_crashes_->Increment();
+      ++tallies_.cache_crashes;
       read_path_.OnCacheCrash(c, t);
       // A crash mid-recovery abandons the episode (its duration is never
       // recorded); the next restart opens a fresh one.
@@ -603,7 +578,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       const int c = event.node;
       if (cache_down_[c] == 0) return;  // never crashed / already back
       cache_down_[c] = 0;
-      cache_restarts_->Increment();
+      ++tallies_.cache_restarts;
       read_path_.OnCacheRestart(c);
       // Every source re-ships (or at least re-tracks) its replicas at the
       // cold cache; the union is this restart's outstanding set.
@@ -640,7 +615,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
     case FaultEventKind::kRelayFail: {
       const int32_t node = event.node;
       if (!network_->relay_alive(node)) return;
-      relay_failures_->Increment();
+      ++tallies_.relay_failures;
       // Everything the relay held: its store (received, not forwarded yet)
       // and its ingress queue (in flight toward it).
       std::vector<Message> stranded = relay(node).TakeStored();
@@ -666,7 +641,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       return;
     case FaultEventKind::kLinkDown:
       if (!network_->cache_link(event.node).is_down()) {
-        link_down_events_->Increment();
+        ++tallies_.link_down_events;
       }
       network_->cache_link(event.node).SetDown(true);
       return;
@@ -674,7 +649,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       network_->cache_link(event.node).SetDown(false);
       return;
     case FaultEventKind::kSlowDown:
-      slowdown_events_->Increment();
+      ++tallies_.slowdown_events;
       network_->cache_link(event.node).SetBandwidthFactor(event.factor);
       return;
     case FaultEventKind::kSlowRecover:
@@ -742,10 +717,10 @@ void CooperativeScheduler::NoteResyncDelivery(int c, const Message& message,
 
 void CooperativeScheduler::DrainResyncNotes() {
   for (ResyncNote& note : resync_notes_) {
-    resync_deliveries_->Increment(note.deliveries);
+    tallies_.resync_deliveries += note.deliveries;
     note.deliveries = 0;
     for (int64_t i = 0; i < note.close_adds; ++i) {
-      resync_digest_->Add(note.duration);
+      resync_digest_.Add(note.duration);
     }
     note.close_adds = 0;
   }
@@ -760,10 +735,11 @@ void CooperativeScheduler::OnMeasurementStart(double /*t*/) {
   for (auto& relay : relays_) relay->ResetCounters();
   read_path_.OnMeasurementStart();
   // Every scheduler-level tally — relay control moves, the fault/recovery
-  // counters, the resync digest — re-zeroes in one registry sweep; an
-  // episode still open at the boundary stays open (it closes — and is
-  // recorded — inside the window).
-  metrics_.Reset();
+  // counters, the resync digest — re-zeroes whole; an episode still open at
+  // the boundary stays open (it closes — and is recorded — inside the
+  // window).
+  tallies_ = {};
+  resync_digest_.Reset();
 }
 
 void CooperativeScheduler::ServePull(const Message& request, double t) {
@@ -835,14 +811,6 @@ void CooperativeScheduler::ObsSample(double t) {
     if (resync.open) outstanding += static_cast<double>(resync.remaining);
   }
   row[i++] = outstanding;
-  if (config_.obs.sample_phase_nanos && config_.phase_timer != nullptr) {
-    const PhaseTimer::Snapshot snapshot = config_.phase_timer->TakeSnapshot();
-    const PhaseTimer::Snapshot delta = PhaseTimer::Delta(snapshot, obs_prev_phase_);
-    obs_prev_phase_ = snapshot;
-    for (int p = 0; p < PhaseTimer::kNumPhases; ++p) {
-      row[i++] = static_cast<double>(delta.nanos[p]);
-    }
-  }
   BESYNC_DCHECK(i == row.size());
   obs_->series()->Append(t, row);
 }
@@ -853,7 +821,7 @@ std::shared_ptr<ObsOutput> CooperativeScheduler::TakeObsOutput() {
 }
 
 SchedulerStats CooperativeScheduler::stats() const {
-  SchedulerStats stats;
+  SchedulerStats stats = tallies_;
   int64_t channels = 0;
   for (const auto& source : sources_) {
     stats.refreshes_sent += source->refreshes_sent();
@@ -900,21 +868,8 @@ SchedulerStats CooperativeScheduler::stats() const {
     stats.relay_transit_delay_mean =
         relay_transit_sum / static_cast<double>(stats.relays_forwarded);
   }
-  stats.relay_control_moved = relay_control_moved_->value();
   if (read_path_.enabled()) {
-    const ReadPathCounters reads = read_path_.Counters();
-    stats.reads_total = reads.reads;
-    stats.read_hits = reads.hits;
-    stats.read_misses = reads.misses;
-    stats.pull_requests_sent = reads.pull_requests;
-    stats.pulls_delivered = reads.pulls_delivered;
-    stats.cache_evictions = reads.evictions;
-    stats.read_staleness_mean = reads.staleness_mean;
-    stats.read_staleness_p50 = reads.staleness_p50;
-    stats.read_staleness_p95 = reads.staleness_p95;
-    stats.read_staleness_p99 = reads.staleness_p99;
-    stats.read_miss_latency_mean = reads.miss_latency_mean;
-    stats.invalidations_received = reads.invalidations_received;
+    read_path_.AddStats(&stats);
     // Push-vs-pull bandwidth split over every cache-side edge (leaf links
     // plus relay ingress edges — the links pulls and pushes contend on).
     for (int n = 0; n < network_->num_nodes(); ++n) {
@@ -929,21 +884,12 @@ SchedulerStats CooperativeScheduler::stats() const {
                               static_cast<double>(total_units)
                         : 0.0;
   }
-  stats.cache_crashes = cache_crashes_->value();
-  stats.cache_restarts = cache_restarts_->value();
-  stats.relay_failures = relay_failures_->value();
-  stats.link_down_events = link_down_events_->value();
-  stats.slowdown_events = slowdown_events_->value();
-  if (read_path_.enabled()) {
-    stats.crash_dropped_pulls = read_path_.crash_dropped_pulls();
-  }
-  stats.resync_deliveries = resync_deliveries_->value();
   for (const ResyncState& resync : resync_) {
     if (resync.open) stats.resync_pending += resync.remaining;
   }
-  if (!resync_digest_->digest().empty()) {
-    stats.time_to_resync_mean = resync_digest_->digest().mean();
-    stats.time_to_resync_p95 = resync_digest_->digest().Quantile(0.95);
+  if (!resync_digest_.empty()) {
+    stats.time_to_resync_mean = resync_digest_.mean();
+    stats.time_to_resync_p95 = resync_digest_.Quantile(0.95);
   }
   return stats;
 }

@@ -11,7 +11,6 @@
 #include "core/source.h"
 #include "fault/fault_schedule.h"
 #include "net/network.h"
-#include "obs/metrics.h"
 #include "obs/obs_config.h"
 #include "obs/trace.h"
 #include "priority/priority.h"
@@ -152,12 +151,6 @@ class CooperativeScheduler : public Scheduler {
   bool cache_down(int c) const {
     return !cache_down_.empty() && cache_down_[c] != 0;
   }
-  /// The scheduler-level metrics (fault tallies, resync digest, relay
-  /// control moves): every field SchedulerStats aggregates from the
-  /// scheduler itself lives here, registered once and reset in one call
-  /// (tests/stats_reset_test.cc iterates this to prove the measurement
-  /// reset misses nothing).
-  const MetricsRegistry& metrics_registry() const { return metrics_; }
 
  protected:
   /// Hook for subclasses to decorate outgoing feedback (competitive rate
@@ -209,7 +202,8 @@ class CooperativeScheduler : public Scheduler {
   void ApplyDeliveries(double t);
 
   /// Drains the per-cache resync scratch (deliveries, closed episodes)
-  /// into resync_deliveries_ / resync_digest_ in ascending cache order.
+  /// into tallies_.resync_deliveries / resync_digest_ in ascending cache
+  /// order.
   void DrainResyncNotes();
 
   /// The relay phase of the tick: each relay (parents first) drains its
@@ -300,8 +294,8 @@ class CooperativeScheduler : public Scheduler {
   /// Scratch for collecting the sources' resynced object lists.
   std::vector<ObjectIndex> resync_scratch_;
   /// Per-cache delivery-phase scratch for the global resync tallies (the
-  /// parallel apply must not touch resync_deliveries_ / resync_digest_
-  /// directly). Drained by DrainResyncNotes; sized alongside cache_down_.
+  /// parallel apply must not touch tallies_ / resync_digest_ directly).
+  /// Drained by DrainResyncNotes; sized alongside cache_down_.
   /// close_adds counts digest samples, not episodes: the episode duration
   /// is re-sampled for every tracked delivery in the closing tick once
   /// remaining hits zero, and the recorded baselines pin that behavior bit
@@ -313,23 +307,17 @@ class CooperativeScheduler : public Scheduler {
   };
   std::vector<ResyncNote> resync_notes_;
 
-  // --- scheduler-level metrics (obs/metrics.h) ---
+  // --- scheduler-level tallies ---
 
-  /// Every counter the scheduler itself tallies (as opposed to per-agent /
-  /// per-link state, which stays on its entity for shard safety), plus the
-  /// time-to-resync digest. Registered once in the constructor; zeroed as a
-  /// whole by Initialize and OnMeasurementStart. The handles below are
-  /// owned by the registry and each has exactly one increment site.
-  MetricsRegistry metrics_;
-  Counter* relay_control_moved_ = nullptr;
-  Counter* cache_crashes_ = nullptr;
-  Counter* cache_restarts_ = nullptr;
-  Counter* relay_failures_ = nullptr;
-  Counter* link_down_events_ = nullptr;
-  Counter* slowdown_events_ = nullptr;
-  Counter* resync_deliveries_ = nullptr;
+  /// Every SchedulerStats counter the scheduler itself bumps (relay control
+  /// moves, the fault/recovery event counts, resync deliveries), as opposed
+  /// to per-agent / per-link state, which stays on its entity for shard
+  /// safety. stats() starts from a copy; Initialize and OnMeasurementStart
+  /// zero it whole, so a field added to SchedulerStats is reset the day it
+  /// is added (tests/stats_reset_test.cc audits every field).
+  SchedulerStats tallies_;
   /// Restart-to-fully-refilled durations of completed resync episodes.
-  Histogram* resync_digest_ = nullptr;
+  QuantileDigest resync_digest_;
 
   // --- observability (config_.obs.enabled only; otherwise null) ---
 
@@ -338,8 +326,6 @@ class CooperativeScheduler : public Scheduler {
   std::unique_ptr<ObsCollector> obs_;
   /// Row scratch for ObsSample, reused across samples.
   std::vector<double> obs_row_;
-  /// Last PhaseTimer snapshot (opt-in sample_phase_nanos columns).
-  PhaseTimer::Snapshot obs_prev_phase_;
 
   /// End-of-tick observability: registers the tick for phase slices and
   /// appends a time-series row when one is due. Never touches engine state.

@@ -95,6 +95,36 @@ Result<RunResult> RunExperimentOnWorkload(const ExperimentConfig& config,
     return Status::InvalidArgument("run_threads must be >= 1, got ",
                                    config.run_threads);
   }
+  // Values the engine CHECKs deep inside a run (harness, network, links,
+  // protocol, time series): reject them here so a bad sweep cell becomes
+  // an error row instead of aborting the process.
+  if (!(config.harness.tick_length > 0.0) || !(config.harness.warmup >= 0.0) ||
+      !(config.harness.measure > 0.0)) {
+    return Status::InvalidArgument(
+        "harness needs tick_length > 0, warmup >= 0 and measure > 0, got ",
+        config.harness.tick_length, ", ", config.harness.warmup, ", ",
+        config.harness.measure);
+  }
+  if (!(config.cache_bandwidth_avg > 0.0)) {
+    return Status::InvalidArgument("cache_bandwidth_avg must be > 0, got ",
+                                   config.cache_bandwidth_avg);
+  }
+  if (!(config.loss_rate >= 0.0 && config.loss_rate < 1.0)) {
+    return Status::InvalidArgument("loss_rate must be in [0, 1), got ",
+                                   config.loss_rate);
+  }
+  if (config.obs.enabled && !(config.obs.sample_interval > 0.0)) {
+    return Status::InvalidArgument("obs sample_interval must be > 0, got ",
+                                   config.obs.sample_interval);
+  }
+  if (!(config.protocol.ttl > 0.0) || config.protocol.max_invalidate_batch < 1 ||
+      config.protocol.invalidate_cost < 1) {
+    return Status::InvalidArgument(
+        "protocol needs ttl > 0, max_invalidate_batch >= 1 and "
+        "invalidate_cost >= 1, got ",
+        config.protocol.ttl, ", ", config.protocol.max_invalidate_batch, ", ",
+        config.protocol.invalidate_cost);
+  }
   const bool tree_topology =
       !config.topology.flat() || !workload->topology.flat();
   if (tree_topology && config.scheduler != SchedulerKind::kCooperative) {

@@ -1,5 +1,7 @@
 #include "exp/runner.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -8,7 +10,7 @@
 
 #include "exp/sweep.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
+#include "util/shard_pool.h"
 
 namespace besync {
 namespace {
@@ -107,24 +109,20 @@ std::vector<JobResult> RunAll(size_t num_jobs, const RunnerOptions& options,
   const bool show_progress = !options.progress_label.empty();
 
   const int threads =
-      options.threads <= 0 ? ThreadPool::HardwareThreads() : options.threads;
-  if (threads == 1 || num_jobs <= 1) {
-    for (size_t i = 0; i < num_jobs; ++i) {
+      options.threads <= 0 ? ShardPool::HardwareThreads() : options.threads;
+  // Each lane claims job indices from one shared cursor (job costs vary too
+  // much for a static split) and writes only its own pre-sized result
+  // slot. One lane runs every job inline, in index order.
+  const size_t lanes =
+      std::min(static_cast<size_t>(threads), std::max<size_t>(num_jobs, 1));
+  ShardPool pool(static_cast<int>(lanes));
+  std::atomic<size_t> next_job{0};
+  pool.Run([&](int /*lane*/) {
+    for (size_t i = next_job++; i < num_jobs; i = next_job++) {
       run_one(i, &results[i]);
       if (show_progress) progress.Step();
     }
-  } else {
-    // Each task writes only its own result slot; the vector is pre-sized so
-    // no reallocation happens under the workers' feet.
-    ThreadPool pool(threads);
-    for (size_t i = 0; i < num_jobs; ++i) {
-      pool.Submit([&results, &progress, &run_one, show_progress, i] {
-        run_one(i, &results[i]);
-        if (show_progress) progress.Step();
-      });
-    }
-    pool.Wait();
-  }
+  });
   if (show_progress) progress.Finish();
   return results;
 }

@@ -334,29 +334,30 @@ double ReadPath::StalenessMeanSoFar() const {
   return count > 0 ? weighted / static_cast<double>(count) : 0.0;
 }
 
-ReadPathCounters ReadPath::Counters() const {
-  ReadPathCounters counters;
-  if (!enabled_) return counters;
-  counters.reads = reads_;
-  counters.hits = hits_;
-  counters.misses = misses_;
-  counters.pull_requests = pull_requests_;
-  counters.pulls_delivered = pulls_delivered_;
-  counters.invalidations_received = invalidations_received_;
+void ReadPath::AddStats(SchedulerStats* stats) const {
+  if (!enabled_) return;
+  stats->reads_total = reads_;
+  stats->read_hits = hits_;
+  stats->read_misses = misses_;
+  stats->pull_requests_sent = pull_requests_;
+  stats->pulls_delivered = pulls_delivered_;
+  stats->invalidations_received = invalidations_received_;
+  stats->crash_dropped_pulls = crash_dropped_pulls_;
+  int64_t evictions = 0;
   QuantileDigest merged;
   for (const CacheState& cache : caches_) {
-    counters.evictions += cache.store.evictions();
+    evictions += cache.store.evictions();
     merged.Merge(cache.staleness);
   }
-  counters.staleness_mean = merged.mean();
-  counters.staleness_p50 = merged.Quantile(0.50);
-  counters.staleness_p95 = merged.Quantile(0.95);
-  counters.staleness_p99 = merged.Quantile(0.99);
-  counters.miss_latency_mean =
+  stats->cache_evictions = evictions;
+  stats->read_staleness_mean = merged.mean();
+  stats->read_staleness_p50 = merged.Quantile(0.50);
+  stats->read_staleness_p95 = merged.Quantile(0.95);
+  stats->read_staleness_p99 = merged.Quantile(0.99);
+  stats->read_miss_latency_mean =
       miss_latency_count_ > 0
           ? miss_latency_sum_ / static_cast<double>(miss_latency_count_)
           : 0.0;
-  return counters;
 }
 
 }  // namespace besync

@@ -16,29 +16,6 @@
 
 namespace besync {
 
-/// Aggregated read-path counters over the measurement window (all zero when
-/// the read path is disabled).
-struct ReadPathCounters {
-  int64_t reads = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t pull_requests = 0;
-  int64_t pulls_delivered = 0;
-  int64_t evictions = 0;
-  /// Read-time staleness distribution: the divergence of the value a read
-  /// is served (hits sample at read time; misses sample the pulled value at
-  /// delivery time).
-  double staleness_mean = 0.0;
-  double staleness_p50 = 0.0;
-  double staleness_p95 = 0.0;
-  double staleness_p99 = 0.0;
-  /// Mean time from a missing read to the delivery that serves it.
-  double miss_latency_mean = 0.0;
-  /// Replica invalidations applied (invalidation protocol; a batched
-  /// kInvalidate of k objects counts k times).
-  int64_t invalidations_received = 0;
-};
-
 /// The client read side of one simulation run: per-cache read streams,
 /// capacity-limited residency (read/cache_store.h), read-time staleness
 /// sampling against the ground truth, and miss-triggered pulls.
@@ -101,15 +78,13 @@ class ReadPath {
   /// can serve), and cancels all pending pulls: responses already in flight
   /// will still install content on arrival, but they must not resolve reads
   /// that died with the process — each cancelled in-flight pull counts into
-  /// crash_dropped_pulls().
+  /// SchedulerStats::crash_dropped_pulls.
   void OnCacheCrash(int cache_id, double now);
   /// Fault hook: cache `cache_id` came back (empty). Reads flow again;
   /// content returns only through installs.
   void OnCacheRestart(int cache_id);
   /// True while the cache is crashed (reads are consumed but discarded).
   bool cache_down(int cache_id) const { return caches_[cache_id].down; }
-  /// Pending pulls cancelled by crashes (measurement window).
-  int64_t crash_dropped_pulls() const { return crash_dropped_pulls_; }
 
   /// Drains the per-cache delivery scratch counters into the global
   /// totals, in ascending cache order. The delivery hooks
@@ -126,9 +101,15 @@ class ReadPath {
   /// statistics are zeroed).
   void OnMeasurementStart();
 
-  /// Merged counters (per-cache staleness digests merged in cache order —
-  /// deterministic).
-  ReadPathCounters Counters() const;
+  /// Writes the measurement window's read-path fields into `stats`: the
+  /// read, pull and eviction counts, the read-time staleness distribution
+  /// (the divergence of the value a read is served — hits sample at read
+  /// time, misses sample the pulled value at delivery time; per-cache
+  /// digests merged in cache order, so deterministic), the mean
+  /// miss-to-delivery latency, invalidations applied (a batched kInvalidate
+  /// of k objects counts k times) and crash-cancelled pulls. No-op while
+  /// the read path is disabled.
+  void AddStats(SchedulerStats* stats) const;
 
   // Introspection (tests).
   const CacheStore& store(int cache_id) const { return caches_[cache_id].store; }
@@ -143,7 +124,7 @@ class ReadPath {
 
   // Cheap cumulative totals for the observability sampler (counted since
   // the last measurement reset; 0 while disabled). O(1) reads — unlike
-  // Counters(), which merges the per-cache staleness digests.
+  // AddStats(), which merges the per-cache staleness digests.
   int64_t reads_so_far() const { return reads_; }
   int64_t hits_so_far() const { return hits_; }
   int64_t pull_requests_so_far() const { return pull_requests_; }

@@ -85,4 +85,9 @@ std::pair<int64_t, int64_t> ShardPool::ShardRange(int64_t count, int shard,
   return {first, first + size};
 }
 
+int ShardPool::HardwareThreads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : static_cast<int>(n);
+}
+
 }  // namespace besync

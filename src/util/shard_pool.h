@@ -16,13 +16,14 @@ namespace besync {
 /// the team, and returns only when all shards finished — the per-tick
 /// barrier of the sharded simulation phases.
 ///
-/// This is deliberately not ThreadPool (one shared FIFO of arbitrary
-/// tasks): shards are pinned to lanes (shard s always runs on the same
-/// thread, shard 0 on the caller), there is no queue to contend on, and a
+/// Shards are pinned to lanes (shard s always runs on the same thread,
+/// shard 0 on the caller), there is no task queue to contend on, and a
 /// whole fan-out-plus-barrier costs one lock round-trip per worker. The
 /// determinism contract lives one level up: callers partition state so that
 /// shard s touches only its own slice, making the execution bitwise
-/// identical to running the shards sequentially — at any team size.
+/// identical to running the shards sequentially — at any team size. The
+/// experiment runner uses the same team for coarse jobs: each lane claims
+/// job indices from a shared atomic cursor (exp/runner.cc).
 ///
 /// Run() must not be called concurrently with itself (one simulation, one
 /// tick loop). Shard functions must not throw.
@@ -66,6 +67,9 @@ class ShardPool {
   /// clamps run_threads to max(num_sources, num_caches, num_nodes)).
   static std::pair<int64_t, int64_t> ShardRange(int64_t count, int shard,
                                                 int num_shards);
+
+  /// std::thread::hardware_concurrency() floored at 1 (it can report 0).
+  static int HardwareThreads();
 
  private:
   void WorkerLoop(int shard);

@@ -78,17 +78,43 @@ TEST(ExperimentTest, WorkloadReuseAcrossSchedulers) {
   EXPECT_DOUBLE_EQ(first->per_object_unweighted, second->per_object_unweighted);
 }
 
-TEST(ExperimentTest, RejectsRunThreadsBelowOne) {
-  // A bad thread count is a config error reported as a Status, never a
-  // silent fallback or an abort inside the scheduler.
-  ExperimentConfig config = SmallExperiment(SchedulerKind::kCooperative);
-  Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
-  for (int run_threads : {0, -1}) {
-    config.run_threads = run_threads;
-    const auto result = RunExperimentOnWorkload(config, &workload);
-    ASSERT_FALSE(result.ok()) << "run_threads=" << run_threads;
+TEST(ExperimentTest, RejectsValuesTheEngineWouldAbortOn) {
+  // A bad config value is reported as a Status, never a silent fallback or
+  // an abort: every value below would trip an internal CHECK deep inside
+  // the run (scheduler, link, network, harness, time series, protocol), so
+  // a sweep cell holding one must come back as an InvalidArgument row.
+  struct BadValue {
+    const char* name;
+    void (*apply)(ExperimentConfig*);
+  };
+  const BadValue bad_values[] = {
+      {"run_threads=0", [](ExperimentConfig* c) { c->run_threads = 0; }},
+      {"run_threads=-1", [](ExperimentConfig* c) { c->run_threads = -1; }},
+      {"loss_rate=1.5", [](ExperimentConfig* c) { c->loss_rate = 1.5; }},
+      {"loss_rate=-0.1", [](ExperimentConfig* c) { c->loss_rate = -0.1; }},
+      {"cache_bandwidth_avg=0",
+       [](ExperimentConfig* c) { c->cache_bandwidth_avg = 0.0; }},
+      {"measure=0", [](ExperimentConfig* c) { c->harness.measure = 0.0; }},
+      {"warmup=-1", [](ExperimentConfig* c) { c->harness.warmup = -1.0; }},
+      {"tick_length=0", [](ExperimentConfig* c) { c->harness.tick_length = 0.0; }},
+      {"obs.sample_interval=0",
+       [](ExperimentConfig* c) {
+         c->obs.enabled = true;
+         c->obs.sample_interval = 0.0;
+       }},
+      {"protocol.ttl=0", [](ExperimentConfig* c) { c->protocol.ttl = 0.0; }},
+      {"protocol.max_invalidate_batch=0",
+       [](ExperimentConfig* c) { c->protocol.max_invalidate_batch = 0; }},
+      {"protocol.invalidate_cost=0",
+       [](ExperimentConfig* c) { c->protocol.invalidate_cost = 0; }},
+  };
+  for (const BadValue& bad : bad_values) {
+    ExperimentConfig config = SmallExperiment(SchedulerKind::kCooperative);
+    bad.apply(&config);
+    const auto result = RunExperiment(config);
+    ASSERT_FALSE(result.ok()) << bad.name;
     EXPECT_TRUE(result.status().IsInvalidArgument())
-        << result.status().ToString();
+        << bad.name << ": " << result.status().ToString();
   }
 }
 

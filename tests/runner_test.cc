@@ -1,4 +1,4 @@
-// Parallel experiment runner: thread-pool basics, per-job error capture,
+// Parallel experiment runner: per-job error capture,
 // and the core guarantee — the same job grid produces identical RunResults
 // (and byte-identical JSON) at threads=1 and threads=8, because every job
 // owns its workload and every field but wall_seconds is a pure function of
@@ -6,45 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <sstream>
 
 #include "exp/runner.h"
-#include "util/thread_pool.h"
 
 namespace besync {
 namespace {
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitAllowsReuse) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  for (int i = 0; i < 10; ++i) pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.Submit([&count] { count.fetch_add(1); });
-  }
-  EXPECT_EQ(count.load(), 50);
-}
 
 TEST(DeriveJobSeedTest, DeterministicAndWellSpread) {
   EXPECT_EQ(DeriveJobSeed(1, 0), DeriveJobSeed(1, 0));

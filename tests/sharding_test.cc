@@ -8,6 +8,7 @@
 // equality checks pass vacuously.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "core/system.h"
 #include "exp/experiment.h"
 #include "fault/fault_schedule.h"
+#include "stats_fields.h"
 
 namespace besync {
 namespace {
@@ -33,9 +35,10 @@ RunResult RunAt(ExperimentConfig config, int run_threads) {
   return std::move(result).ValueOrDie();
 }
 
-/// Bitwise comparison of two runs: every double with EXPECT_EQ (the
-/// sharded phases must reproduce the serial float-accumulation order
-/// exactly, not approximately).
+/// Bitwise comparison of two runs: every double with EXPECT_EQ, and every
+/// SchedulerStats field from the one field table (the sharded phases must
+/// reproduce the serial float-accumulation order exactly, not
+/// approximately).
 void ExpectIdenticalRuns(const RunResult& serial, const RunResult& sharded) {
   EXPECT_EQ(serial.total_weighted_divergence, sharded.total_weighted_divergence);
   EXPECT_EQ(serial.per_object_weighted, sharded.per_object_weighted);
@@ -47,47 +50,8 @@ void ExpectIdenticalRuns(const RunResult& serial, const RunResult& sharded) {
         << "cache " << c;
   }
 
-  const SchedulerStats& a = serial.scheduler;
-  const SchedulerStats& b = sharded.scheduler;
-  EXPECT_EQ(a.refreshes_sent, b.refreshes_sent);
-  EXPECT_EQ(a.refreshes_delivered, b.refreshes_delivered);
-  EXPECT_EQ(a.feedback_sent, b.feedback_sent);
-  EXPECT_EQ(a.polls_sent, b.polls_sent);
-  EXPECT_EQ(a.cache_utilization, b.cache_utilization);
-  EXPECT_EQ(a.avg_cache_queue, b.avg_cache_queue);
-  EXPECT_EQ(a.max_cache_queue, b.max_cache_queue);
-  EXPECT_EQ(a.mean_threshold, b.mean_threshold);
-  EXPECT_EQ(a.relays_forwarded, b.relays_forwarded);
-  EXPECT_EQ(a.relay_queue_delay_mean, b.relay_queue_delay_mean);
-  EXPECT_EQ(a.relay_transit_delay_mean, b.relay_transit_delay_mean);
-  EXPECT_EQ(a.max_relay_store, b.max_relay_store);
-  EXPECT_EQ(a.relay_control_moved, b.relay_control_moved);
-  EXPECT_EQ(a.reads_total, b.reads_total);
-  EXPECT_EQ(a.read_hits, b.read_hits);
-  EXPECT_EQ(a.read_misses, b.read_misses);
-  EXPECT_EQ(a.pull_requests_sent, b.pull_requests_sent);
-  EXPECT_EQ(a.pulls_delivered, b.pulls_delivered);
-  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
-  EXPECT_EQ(a.read_staleness_mean, b.read_staleness_mean);
-  EXPECT_EQ(a.read_staleness_p50, b.read_staleness_p50);
-  EXPECT_EQ(a.read_staleness_p95, b.read_staleness_p95);
-  EXPECT_EQ(a.read_staleness_p99, b.read_staleness_p99);
-  EXPECT_EQ(a.read_miss_latency_mean, b.read_miss_latency_mean);
-  EXPECT_EQ(a.pull_units_delivered, b.pull_units_delivered);
-  EXPECT_EQ(a.push_units_delivered, b.push_units_delivered);
-  EXPECT_EQ(a.pull_bandwidth_share, b.pull_bandwidth_share);
-  EXPECT_EQ(a.invalidations_sent, b.invalidations_sent);
-  EXPECT_EQ(a.invalidations_received, b.invalidations_received);
-  EXPECT_EQ(a.cache_crashes, b.cache_crashes);
-  EXPECT_EQ(a.cache_restarts, b.cache_restarts);
-  EXPECT_EQ(a.relay_failures, b.relay_failures);
-  EXPECT_EQ(a.link_down_events, b.link_down_events);
-  EXPECT_EQ(a.slowdown_events, b.slowdown_events);
-  EXPECT_EQ(a.crash_dropped_pulls, b.crash_dropped_pulls);
-  EXPECT_EQ(a.resync_deliveries, b.resync_deliveries);
-  EXPECT_EQ(a.resync_pending, b.resync_pending);
-  EXPECT_EQ(a.time_to_resync_mean, b.time_to_resync_mean);
-  EXPECT_EQ(a.time_to_resync_p95, b.time_to_resync_p95);
+  EXPECT_EQ(DifferingStatsFields(serial.scheduler, sharded.scheduler),
+            std::vector<std::string>{});
 }
 
 /// Runs `config` at 1/2/4/8 shards and checks every sharded run against

@@ -2,19 +2,25 @@
 // cover the measurement window only. Two angles:
 //
 //  1. A second OnMeasurementStart() immediately after a finished run must
-//     zero every counter, for every scheduler family (if any counter
-//     escapes the reset path it shows up here).
+//     zero every SchedulerStats field but the named level fields, for every
+//     scheduler family and for a run exercising every feature. The audit
+//     walks the field table of tests/stats_fields.h, so a field added later
+//     is covered the day it is added.
 //  2. Warm-up independence: for deterministic schedulers, stats from runs
 //     that differ only in warm-up length must be identical — counters that
 //     leak warm-up traffic scale with the warm-up instead.
 
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/system.h"
 #include "exp/experiment.h"
-#include "obs/metrics.h"
+#include "stats_fields.h"
 
 namespace besync {
 namespace {
@@ -32,198 +38,46 @@ ExperimentConfig BaseConfig(SchedulerKind kind) {
   return config;
 }
 
+/// Fields that describe a level the simulation is at (adaptive thresholds,
+/// high-water marks, replicas still awaiting a refill) rather than a count
+/// over the window: a measurement start need not zero them.
+const std::set<std::string>& LevelFields() {
+  static const std::set<std::string> kLevels = {
+      "mean_threshold", "max_cache_queue", "max_relay_store", "resync_pending"};
+  return kLevels;
+}
+
+struct RunThenResetStats {
+  SchedulerStats after_run;
+  SchedulerStats reset;
+};
+
+/// Runs `config` to completion, then starts a second measurement window on
+/// the same scheduler instance.
+RunThenResetStats RunThenReset(const ExperimentConfig& config) {
+  const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
+  const auto metric = MakeMetric(config.metric);
+  const auto scheduler = MakeScheduler(config);
+  Harness harness(&workload, metric.get(), config.harness);
+  EXPECT_TRUE(harness.Run(scheduler.get()).ok());
+  const SchedulerStats after_run = scheduler->stats();
+  scheduler->OnMeasurementStart(harness.now());
+  return {after_run, scheduler->stats()};
+}
+
 class StatsResetTest : public ::testing::TestWithParam<SchedulerKind> {};
 
-TEST_P(StatsResetTest, SecondMeasurementStartZeroesAllCounters) {
-  const ExperimentConfig config = BaseConfig(GetParam());
-  const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
-  const auto metric = MakeMetric(config.metric);
-  const auto scheduler = MakeScheduler(config);
-  Harness harness(&workload, metric.get(), config.harness);
-  ASSERT_TRUE(harness.Run(scheduler.get()).ok());
-
-  // The run produced traffic...
-  const SchedulerStats after_run = scheduler->stats();
-  EXPECT_GT(after_run.refreshes_sent + after_run.refreshes_delivered +
-                after_run.polls_sent,
+TEST_P(StatsResetTest, SecondMeasurementStartZeroesEveryField) {
+  // Walks the whole field table: a reset that skipped any counter — the
+  // relay / read-path / protocol / fault ones included, zero here only
+  // because the config does not exercise them — would leak the previous
+  // window's value on a reused scheduler.
+  const RunThenResetStats stats = RunThenReset(BaseConfig(GetParam()));
+  EXPECT_GT(stats.after_run.refreshes_sent + stats.after_run.refreshes_delivered +
+                stats.after_run.polls_sent,
             0);
-
-  // ...and a fresh measurement start wipes every counter and queue stat,
-  // including the relay / read-path / protocol counters added since (zero
-  // here because the config does not exercise them, but a reset that
-  // skipped one would leak the previous run's value on a reused scheduler).
-  scheduler->OnMeasurementStart(harness.now());
-  const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.refreshes_sent, 0);
-  EXPECT_EQ(reset.refreshes_delivered, 0);
-  EXPECT_EQ(reset.feedback_sent, 0);
-  EXPECT_EQ(reset.polls_sent, 0);
-  EXPECT_EQ(reset.cache_utilization, 0.0);
-  EXPECT_EQ(reset.avg_cache_queue, 0.0);
-  EXPECT_EQ(reset.relays_forwarded, 0);
-  EXPECT_EQ(reset.relay_control_moved, 0);
-  EXPECT_EQ(reset.reads_total, 0);
-  EXPECT_EQ(reset.read_hits, 0);
-  EXPECT_EQ(reset.read_misses, 0);
-  EXPECT_EQ(reset.pull_requests_sent, 0);
-  EXPECT_EQ(reset.pulls_delivered, 0);
-  EXPECT_EQ(reset.cache_evictions, 0);
-  EXPECT_EQ(reset.pull_units_delivered, 0);
-  EXPECT_EQ(reset.push_units_delivered, 0);
-  EXPECT_EQ(reset.invalidations_sent, 0);
-  EXPECT_EQ(reset.invalidations_received, 0);
-}
-
-TEST(StatsResetProtocolTest, ReusedCooperativeSchedulerZeroesProtocolCounters) {
-  // Drive every counter family at once — reads with a binding capacity, a
-  // relay tier, the invalidation protocol — then start a fresh measurement
-  // window on the *same* scheduler instance and demand a clean slate.
-  ExperimentConfig config = BaseConfig(SchedulerKind::kCooperative);
-  config.workload.num_caches = 2;
-  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.workload.read.read_rate = 4.0;
-  config.workload.relay_tiers = 1;
-  config.protocol.kind = SyncProtocolKind::kInvalidation;
-  const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
-  const auto metric = MakeMetric(config.metric);
-  const auto scheduler = MakeScheduler(config);
-  Harness harness(&workload, metric.get(), config.harness);
-  ASSERT_TRUE(harness.Run(scheduler.get()).ok());
-
-  const SchedulerStats after_run = scheduler->stats();
-  EXPECT_GT(after_run.reads_total, 0);
-  EXPECT_GT(after_run.pulls_delivered, 0);
-  EXPECT_GT(after_run.invalidations_sent, 0);
-  EXPECT_GT(after_run.invalidations_received, 0);
-  EXPECT_GT(after_run.relays_forwarded, 0);
-
-  scheduler->OnMeasurementStart(harness.now());
-  const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.reads_total, 0);
-  EXPECT_EQ(reset.read_hits, 0);
-  EXPECT_EQ(reset.read_misses, 0);
-  EXPECT_EQ(reset.pull_requests_sent, 0);
-  EXPECT_EQ(reset.pulls_delivered, 0);
-  EXPECT_EQ(reset.relays_forwarded, 0);
-  EXPECT_EQ(reset.invalidations_sent, 0);
-  EXPECT_EQ(reset.invalidations_received, 0);
-}
-
-TEST(StatsResetFaultTest, ReusedCooperativeSchedulerZeroesFaultCounters) {
-  // Drive every fault counter family — cache crash/restart (with its resync
-  // episode), a relay failover, a link flap, a slowdown — then start a fresh
-  // measurement window on the same scheduler instance: the fault counters
-  // must re-zero with everything else, or a reused scheduler double-counts
-  // the previous run's outages.
-  ExperimentConfig config = BaseConfig(SchedulerKind::kCooperative);
-  config.workload.num_caches = 2;
-  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.workload.relay_tiers = 1;
-  config.workload.fault.cache_crashes = 2;
-  config.workload.fault.relay_failures = 1;
-  config.workload.fault.link_flaps = 1;
-  config.workload.fault.slowdowns = 1;
-  config.workload.fault.window_start = 40.0;
-  config.workload.fault.window_end = 120.0;
-  const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
-  const auto metric = MakeMetric(config.metric);
-  const auto scheduler = MakeScheduler(config);
-  Harness harness(&workload, metric.get(), config.harness);
-  ASSERT_TRUE(harness.Run(scheduler.get()).ok());
-
-  const SchedulerStats after_run = scheduler->stats();
-  EXPECT_GT(after_run.cache_crashes, 0);
-  EXPECT_GT(after_run.cache_restarts, 0);
-  EXPECT_GT(after_run.relay_failures, 0);
-  EXPECT_GT(after_run.link_down_events, 0);
-  EXPECT_GT(after_run.slowdown_events, 0);
-  EXPECT_GT(after_run.resync_deliveries, 0);
-  EXPECT_GT(after_run.time_to_resync_p95, 0.0);
-
-  scheduler->OnMeasurementStart(harness.now());
-  const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.cache_crashes, 0);
-  EXPECT_EQ(reset.cache_restarts, 0);
-  EXPECT_EQ(reset.relay_failures, 0);
-  EXPECT_EQ(reset.link_down_events, 0);
-  EXPECT_EQ(reset.slowdown_events, 0);
-  EXPECT_EQ(reset.crash_dropped_pulls, 0);
-  EXPECT_EQ(reset.resync_deliveries, 0);
-  EXPECT_EQ(reset.resync_pending, 0);
-  EXPECT_EQ(reset.time_to_resync_mean, 0.0);
-  EXPECT_EQ(reset.time_to_resync_p95, 0.0);
-}
-
-TEST(StatsRegistryTest, ResetZeroesEveryRegisteredMetric) {
-  // The cooperative scheduler's counters live in a MetricsRegistry
-  // (obs/metrics.h): one registration site, one increment site, and a
-  // single Reset() at measurement start. This is the registry-side version
-  // of the audits above — instead of naming fields one by one, iterate
-  // everything registered and demand zero, so a counter added later is
-  // covered the day it is registered. The registry currently backs the
-  // fault/relay counter family, so arm a relay tier and a fault schedule
-  // to actually bump it.
-  ExperimentConfig config = BaseConfig(SchedulerKind::kCooperative);
-  config.workload.num_caches = 2;
-  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.workload.relay_tiers = 1;
-  config.workload.fault.cache_crashes = 1;
-  config.workload.fault.window_start = 40.0;
-  config.workload.fault.window_end = 120.0;
-  const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
-  const auto metric = MakeMetric(config.metric);
-  const auto scheduler = MakeScheduler(config);
-  Harness harness(&workload, metric.get(), config.harness);
-  ASSERT_TRUE(harness.Run(scheduler.get()).ok());
-
-  auto* cooperative = static_cast<CooperativeScheduler*>(scheduler.get());
-  const MetricsRegistry& registry = cooperative->metrics_registry();
-  ASSERT_FALSE(registry.counters().empty());
-  int64_t total = 0;
-  for (const auto& [name, counter] : registry.counters()) total += counter.value();
-  EXPECT_GT(total, 0) << "the run bumped no registered counter";
-
-  scheduler->OnMeasurementStart(harness.now());
-  for (const auto& [name, counter] : registry.counters()) {
-    EXPECT_EQ(counter.value(), 0) << "counter '" << name
-                                  << "' escaped the measurement-start reset";
-  }
-  for (const auto& [name, gauge] : registry.gauges()) {
-    EXPECT_EQ(gauge.value(), 0.0) << "gauge '" << name << "' escaped the reset";
-  }
-
-  // The struct view and the registry must agree after reset too.
-  const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.refreshes_sent, 0);
-  EXPECT_EQ(reset.refreshes_delivered, 0);
-}
-
-TEST(StatsRegistryTest, StandaloneRegistryBasics) {
-  MetricsRegistry registry;
-  Counter* sent = registry.AddCounter("sent");
-  Gauge* depth = registry.AddGauge("depth");
-  Histogram* wait = registry.AddHistogram("wait");
-  sent->Increment();
-  sent->Increment(3);
-  depth->Set(7.5);
-  wait->Add(1.0);
-  wait->Add(9.0);
-  EXPECT_EQ(sent->value(), 4);
-  EXPECT_EQ(depth->value(), 7.5);
-  EXPECT_EQ(wait->digest().count(), 2);
-
-  // Handles stay valid as the deque grows (the registration contract).
-  for (int i = 0; i < 100; ++i) {
-    registry.AddCounter("filler_" + std::to_string(i));
-  }
-  EXPECT_EQ(sent->value(), 4);
-
-  // Introspection sees registration order; Reset zeroes everything at once.
-  EXPECT_EQ(registry.counters().front().first, "sent");
-  registry.Reset();
-  EXPECT_EQ(sent->value(), 0);
-  EXPECT_EQ(depth->value(), 0.0);
-  EXPECT_EQ(wait->digest().count(), 0);
+  EXPECT_EQ(NonZeroStatsFields(stats.reset, LevelFields()),
+            std::vector<std::string>{});
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, StatsResetTest,
@@ -233,6 +87,53 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, StatsResetTest,
                                            SchedulerKind::kCGM1,
                                            SchedulerKind::kCGM2,
                                            SchedulerKind::kRoundRobin));
+
+TEST(StatsResetAuditTest, EveryFeatureRunZeroesEveryField) {
+  // Drive every counter family at once — reads with the invalidation
+  // protocol, a relay tier, and a cache crash/restart (with its resync
+  // episode), a relay failover, a link flap and a slowdown — then start a
+  // fresh window on the same scheduler and demand a clean slate across the
+  // whole field table.
+  ExperimentConfig config = BaseConfig(SchedulerKind::kCooperative);
+  config.workload.num_caches = 2;
+  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  config.workload.read.read_rate = 4.0;
+  config.workload.read.capacity = 8;
+  config.workload.relay_tiers = 1;
+  config.protocol.kind = SyncProtocolKind::kInvalidation;
+  config.workload.fault.cache_crashes = 2;
+  config.workload.fault.relay_failures = 1;
+  config.workload.fault.link_flaps = 1;
+  config.workload.fault.slowdowns = 1;
+  config.workload.fault.window_start = 40.0;
+  config.workload.fault.window_end = 120.0;
+  const RunThenResetStats stats = RunThenReset(config);
+
+  // The run must really have exercised the fields, or the audit below
+  // passes vacuously. The exceptions are fields this config cannot move.
+  const std::set<std::string> kUnexercised = {
+      // Invalidation sources never push: no threshold refreshes, no
+      // surplus feedback (the push-protocol cooperative case above runs
+      // both).
+      "refreshes_sent", "feedback_sent",
+      // CGM polling only.
+      "polls_sent",
+      // Links and relays drain within the tick they fill at this load.
+      "avg_cache_queue", "relay_queue_delay_mean", "relay_transit_delay_mean",
+      // Most reads are served fresh, so only the tail of the staleness
+      // distribution moves.
+      "read_staleness_p50", "read_staleness_p95",
+      // Every resync episode closes before the run ends.
+      "resync_pending",
+  };
+  ForEachStatsField([&](const char* name, auto member) {
+    if (kUnexercised.count(name) == 0) {
+      EXPECT_NE(stats.after_run.*member, 0) << name << " was never exercised";
+    }
+  });
+  EXPECT_EQ(NonZeroStatsFields(stats.reset, LevelFields()),
+            std::vector<std::string>{});
+}
 
 TEST(StatsWarmupIndependenceTest, RoundRobinStatsCoverMeasurementOnly) {
   // Round robin with constant bandwidth is fully deterministic: over a fixed

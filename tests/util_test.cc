@@ -469,5 +469,9 @@ TEST(ShardPoolTest, MainPreludeRunsBeforeShardZero) {
   EXPECT_TRUE(prelude_done.load());
 }
 
+TEST(ShardPoolTest, HardwareThreadsIsPositive) {
+  EXPECT_GE(ShardPool::HardwareThreads(), 1);
+}
+
 }  // namespace
 }  // namespace besync
