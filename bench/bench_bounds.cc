@@ -25,7 +25,8 @@ Workload MakeDriftWorkload(const WorkloadConfig& base) {
   // every process with a deterministic drift of the same rate.
   Workload workload = std::move(MakeWorkload(base)).ValueOrDie();
   for (ObjectSpec& spec : workload.objects) {
-    spec.process = std::make_unique<DriftProcess>(spec.lambda, 1.0);
+    spec.process = ProcessKind::kDrift;
+    spec.step = 1.0;
     spec.max_divergence_rate = spec.lambda;  // exact bound rate
   }
   return workload;

@@ -24,12 +24,12 @@ namespace {
 Workload MakeSwitchingWorkload(const WorkloadConfig& base, double regime_length) {
   Workload workload = std::move(MakeWorkload(base)).ValueOrDie();
   Rng rng(base.seed ^ 0xabcdefULL);
-  for (ObjectSpec& spec : workload.objects) {
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
     // Hot/cold rates straddle the original rate; desynchronized regimes.
-    const double hot = spec.lambda * 1.8;
-    const double cold = spec.lambda * 0.2;
-    spec.process = std::make_unique<RegimeSwitchingProcess>(
-        hot, cold, regime_length * rng.Uniform(0.7, 1.3));
+    const double lambda = workload.objects[i].lambda;
+    workload.SetRegimeSwitch(
+        i, RegimeSwitch{lambda * 1.8, lambda * 0.2,
+                        regime_length * rng.Uniform(0.7, 1.3)});
   }
   return workload;
 }

@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // priority computation, tracker updates, lazy-heap churn, the threshold
-// controller, the CGM allocation solver, ground-truth accounting, and the
-// end-to-end simulation tick rate.
+// controller, the CGM allocation solver, ground-truth accounting, per-object
+// setup, and the end-to-end simulation tick rate.
 
 #include <algorithm>
+#include <memory>
 
 #include <benchmark/benchmark.h>
 
@@ -193,6 +194,34 @@ void BM_TimerWheelChurn(benchmark::State& state) {
   for (auto _ : state) churn.PopAndFire();
 }
 BENCHMARK(BM_TimerWheelChurn)->Arg(1000)->Arg(60000)->Arg(1000000);
+
+// Per-object setup cost: building a 100k-object partitioned workload (200
+// sources x 500 objects over 100 caches), the harness over it (runtimes,
+// trackers, ground truth) and the cooperative scheduler's Initialize
+// (network, source channels). Time per iteration is the setup a run pays
+// before its first tick.
+void BM_SetupPath(benchmark::State& state) {
+  ExperimentConfig config;
+  config.scheduler = SchedulerKind::kCooperative;
+  config.workload.num_sources = 200;
+  config.workload.objects_per_source = 500;
+  config.workload.num_caches = 100;
+  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  config.workload.rate_hi = 0.02;
+  config.workload.seed = 8;
+  config.cache_bandwidth_avg = 4.0;
+  config.source_bandwidth_avg = 2.0;
+  const std::unique_ptr<DivergenceMetric> metric = MakeMetric(config.metric);
+  for (auto _ : state) {
+    const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
+    Harness harness(&workload, metric.get(), config.harness);
+    const std::unique_ptr<Scheduler> scheduler = MakeScheduler(config);
+    scheduler->Initialize(&harness);
+    benchmark::DoNotOptimize(scheduler.get());
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_SetupPath)->Unit(benchmark::kMillisecond);
 
 // End-to-end throughput: one full (small) cooperative run per iteration;
 // the counter reports simulated object-seconds per wall second.

@@ -14,7 +14,6 @@
 
 #include "core/harness.h"
 #include "core/system.h"
-#include "data/weight.h"
 #include "data/workload.h"
 #include "divergence/metric.h"
 
@@ -44,14 +43,12 @@ int main() {
   for (int station = 0; station < kStations; ++station) {
     for (int c = 0; c < kPerStation; ++c) {
       ObjectSpec spec;
-      spec.index = static_cast<ObjectIndex>(fleet.objects.size());
       spec.source_index = station;
-      spec.lambda = classes[c].rate;
-      spec.process = std::make_unique<PoissonRandomWalkProcess>(classes[c].rate);
-      spec.weight = MakeConstantWeight(classes[c].importance);
+      spec.lambda = classes[c].rate;  // a Poisson random walk at this rate
+      spec.weight = classes[c].importance;
       spec.max_divergence_rate = classes[c].rate;
       spec.rng_seed = rng.NextUint64();
-      fleet.objects.push_back(std::move(spec));
+      fleet.AddObject(spec);
     }
   }
 

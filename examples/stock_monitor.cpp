@@ -16,7 +16,6 @@
 
 #include "core/harness.h"
 #include "core/system.h"
-#include "data/weight.h"
 #include "data/workload.h"
 #include "divergence/metric.h"
 #include "priority/bound.h"
@@ -35,17 +34,15 @@ Workload BuildQuoteFeed(uint64_t seed) {
   for (int venue = 0; venue < kVenues; ++venue) {
     for (int s = 0; s < kSymbolsPerVenue; ++s) {
       ObjectSpec spec;
-      spec.index = static_cast<ObjectIndex>(feed.objects.size());
       spec.source_index = venue;
-      // Tick rates from sleepy small caps to hyperactive large caps.
+      // Tick rates from sleepy small caps to hyperactive large caps, each a
+      // Poisson random walk with its own tick size.
       spec.lambda = rng.Uniform(0.02, 2.0);
-      spec.process = std::make_unique<PoissonRandomWalkProcess>(
-          spec.lambda, /*step=*/rng.Uniform(0.1, 1.0));
-      spec.weight = MakeConstantWeight(1.0);
+      spec.step = rng.Uniform(0.1, 1.0);
       // Known maximum drift rate: tick rate x tick size.
       spec.max_divergence_rate = spec.lambda;
       spec.rng_seed = rng.NextUint64();
-      feed.objects.push_back(std::move(spec));
+      feed.AddObject(spec);
     }
   }
   return feed;
@@ -75,9 +72,9 @@ Outcome RunPolicy(PolicyKind policy) {
   outcome.average_deviation = harness.ground_truth().PerObjectWeightedAverage();
   outcome.worst_bound = 0.0;
   const double end = harness.now();
-  for (const ObjectRuntime& object : harness.objects()) {
-    const double age = end - object.tracker().last_refresh_time();
-    const double bound = object.spec->max_divergence_rate * age;
+  for (ObjectIndex i = 0; i < feed.total_objects(); ++i) {
+    const double age = end - harness.tracker(i).last_refresh_time();
+    const double bound = feed.objects[i].max_divergence_rate * age;
     if (bound > outcome.worst_bound) outcome.worst_bound = bound;
   }
   return outcome;

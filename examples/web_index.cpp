@@ -16,7 +16,7 @@
 #include "baseline/cgm.h"
 #include "core/competitive.h"
 #include "core/harness.h"
-#include "data/weight.h"
+#include "util/fluctuation.h"
 #include "data/workload.h"
 #include "divergence/metric.h"
 
@@ -35,20 +35,18 @@ Workload BuildWebCorpus(uint64_t seed) {
   for (int provider = 0; provider < kProviders; ++provider) {
     for (int page = 0; page < kPagesPerProvider; ++page) {
       ObjectSpec spec;
-      spec.index = static_cast<ObjectIndex>(corpus.objects.size());
       spec.source_index = provider;
       // Page change rates: most pages are slow, a few churn (Zipf-ish mix).
       spec.lambda = 0.005 * static_cast<double>(rng.Zipf(100, 1.2));
-      spec.process = std::make_unique<PoissonRandomWalkProcess>(spec.lambda);
       // Index importance: PageRank-like Zipf weights.
-      spec.weight =
-          MakeConstantWeight(static_cast<double>(rng.Zipf(50, 1.0)));
-      // Provider priorities: each provider promotes a handful of pages
-      // (e.g. special offers) the index does not particularly value.
-      spec.source_weight = MakeConstantWeight(page < 3 ? 10.0 : 1.0);
+      spec.weight = static_cast<double>(rng.Zipf(50, 1.0));
       spec.max_divergence_rate = spec.lambda;
       spec.rng_seed = rng.NextUint64();
-      corpus.objects.push_back(std::move(spec));
+      corpus.AddObject(spec);
+      // Provider priorities: each provider promotes a handful of pages
+      // (e.g. special offers) the index does not particularly value.
+      corpus.SetSourceWeight(corpus.total_objects() - 1,
+                             Fluctuation::Constant(page < 3 ? 10.0 : 1.0));
     }
   }
   return corpus;

@@ -57,7 +57,7 @@ void CGMScheduler::Reallocate(double t) {
   std::vector<double> weights(workload.objects.size());
   for (size_t i = 0; i < workload.objects.size(); ++i) {
     lambdas[i] = estimators_[i]->Estimate();
-    weights[i] = workload.objects[i].weight->average();
+    weights[i] = workload.objects[i].weight;
   }
   // The poll round trip costs 2 bandwidth units, so the sustainable refresh
   // rate is half the cache-side bandwidth, minus the exploration share.
@@ -86,7 +86,7 @@ void CGMScheduler::SendPoll(ObjectIndex index, double t) {
   const ObjectRuntime& object = harness_->object(index);
   Message response;
   response.kind = MessageKind::kPollResponse;
-  response.source_index = object.spec->source_index;
+  response.source_index = harness_->spec(index).source_index;
   response.object_index = index;
   response.value = object.state.value;
   response.version = object.state.version;

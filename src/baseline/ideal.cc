@@ -49,19 +49,19 @@ void IdealCooperativeScheduler::Initialize(Harness* harness) {
 }
 
 double IdealCooperativeScheduler::ComputePriority(ObjectIndex index, double now) const {
-  const ObjectRuntime& object = harness_->object(index);
+  const ObjectSpec& spec = harness_->spec(index);
+  const DivergenceTracker& tracker = harness_->tracker(index);
   PriorityContext context;
-  context.tracker = &object.tracker();
+  context.tracker = &tracker;
   context.weight = harness_->WeightAt(index, now);
-  if (config_.cost_aware_priority && object.spec->refresh_cost > 1) {
-    context.weight /= static_cast<double>(object.spec->refresh_cost);
+  if (config_.cost_aware_priority && spec.refresh_cost > 1) {
+    context.weight /= static_cast<double>(spec.refresh_cost);
   }
-  context.max_divergence_rate = object.spec->max_divergence_rate;
+  context.max_divergence_rate = spec.max_divergence_rate;
   context.history_rate = history_[index].rate();
   context.lambda_estimate = EstimateLambda(
-      config_.lambda_mode, object.spec->lambda, object.state.version, now,
-      object.tracker().updates_since_refresh(),
-      now - object.tracker().last_refresh_time());
+      config_.lambda_mode, spec.lambda, harness_->object(index).state.version, now,
+      tracker.updates_since_refresh(), now - tracker.last_refresh_time());
   return policy_->Priority(context, now);
 }
 
@@ -120,11 +120,11 @@ void IdealCooperativeScheduler::Tick(double t) {
     }
     // Costs are charged in full; a large object may drive the budgets
     // negative (its transmission conceptually spans ticks).
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(top.index).refresh_cost;
     source_budget_[j] -= cost;
     budget -= cost;
     {
-      const DivergenceTracker& tracker = harness_->object(top.index).tracker();
+      const DivergenceTracker& tracker = harness_->tracker(top.index);
       history_[top.index].OnRefresh(t - tracker.last_refresh_time(),
                                     tracker.IntegralTo(t));
     }

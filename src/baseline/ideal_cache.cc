@@ -30,7 +30,7 @@ void IdealCacheBasedScheduler::Initialize(Harness* harness) {
   weights.reserve(workload.objects.size());
   for (const ObjectSpec& spec : workload.objects) {
     lambdas.push_back(spec.lambda);
-    weights.push_back(spec.weight->average());
+    weights.push_back(spec.weight);
   }
   auto allocation =
       SolveFreshnessAllocation(lambdas, weights, config_.cache_bandwidth_avg);

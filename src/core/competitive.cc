@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "data/weight.h"
 #include "util/logging.h"
 
 namespace besync {
@@ -128,7 +127,8 @@ void AssignConflictingSourceWeights(Workload* workload, double heavy, uint64_t s
     rng.Shuffle(&member_indices);
     for (size_t k = 0; k < member_indices.size(); ++k) {
       const double weight = k < member_indices.size() / 2 ? heavy : 1.0;
-      workload->objects[member_indices[k]].source_weight = MakeConstantWeight(weight);
+      workload->SetSourceWeight(static_cast<ObjectIndex>(member_indices[k]),
+                                Fluctuation::Constant(weight));
     }
   }
 }

@@ -28,18 +28,10 @@ Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
   primary_ground_truth_ = owned_ground_truth_.get();
   ground_truths_.push_back(primary_ground_truth_);
   objects_.reserve(workload->objects.size());
-  size_t total_replicas = 0;
-  for (const ObjectSpec& spec : workload->objects) {
-    objects_.emplace_back(&spec);
-    total_replicas += static_cast<size_t>(spec.num_replicas());
-  }
-  DivergenceTracker* trackers =
-      arena_.AllocateArray<DivergenceTracker>(total_replicas, metric);
-  for (ObjectRuntime& object : objects_) {
-    object.trackers = trackers;
-    object.num_replicas = object.spec->num_replicas();
-    trackers += object.num_replicas;
-  }
+  for (const ObjectSpec& spec : workload->objects) objects_.emplace_back(spec.rng_seed);
+  trackers_ = arena_.AllocateArray<DivergenceTracker>(
+      static_cast<size_t>(workload->total_replicas()), metric);
+  if (workload->traces != nullptr) trace_cursors_.assign(objects_.size(), 0);
 }
 
 void Harness::AddGroundTruth(GroundTruth* ground_truth) {
@@ -48,36 +40,28 @@ void Harness::AddGroundTruth(GroundTruth* ground_truth) {
   ground_truths_.push_back(ground_truth);
 }
 
-double Harness::WeightAt(ObjectIndex index, double t) const {
-  return objects_[index].spec->weight->ValueAt(t);
-}
-
-double Harness::SourceWeightAt(ObjectIndex index, double t) const {
-  const ObjectSpec& spec = *objects_[index].spec;
-  return spec.source_weight ? spec.source_weight->ValueAt(t) : spec.weight->ValueAt(t);
-}
-
 Message Harness::MakeRefreshMessage(ObjectIndex index, int32_t cache_id, double t) {
-  ObjectRuntime& object = objects_[index];
-  const int slot = object.spec->replica_slot(cache_id);
+  const ObjectRuntime& object = objects_[index];
+  const ObjectSpec& spec = workload_->objects[index];
+  const int slot = workload_->replica_slot(index, cache_id);
   BESYNC_CHECK_GE(slot, 0) << "object " << index << " has no replica at cache "
                            << cache_id;
   Message message;
   message.kind = MessageKind::kRefresh;
-  message.source_index = object.spec->source_index;
+  message.source_index = spec.source_index;
   message.cache_id = cache_id;
   message.object_index = index;
   message.value = object.state.value;
   message.version = object.state.version;
   message.send_time = t;
   message.last_update_time = object.state.last_update_time;
-  message.cost = object.spec->refresh_cost;
-  object.tracker(slot).OnRefresh(t, object.state.value, object.state.version);
+  message.cost = spec.refresh_cost;
+  tracker(index, slot).OnRefresh(t, object.state.value, object.state.version);
   return message;
 }
 
 Message Harness::MakeRefreshMessage(ObjectIndex index, double t) {
-  return MakeRefreshMessage(index, objects_[index].spec->caches.front(), t);
+  return MakeRefreshMessage(index, workload_->caches(index).front(), t);
 }
 
 void Harness::DeliverRefresh(const Message& message, double t) {
@@ -93,7 +77,7 @@ void Harness::DeliverRefresh(const Message& message, double t) {
 }
 
 void Harness::RefreshInstant(ObjectIndex index, double t) {
-  for (int32_t cache_id : objects_[index].spec->caches) {
+  for (int32_t cache_id : workload_->caches(index)) {
     const Message message = MakeRefreshMessage(index, cache_id, t);
     DeliverRefresh(message, t);
   }
@@ -101,11 +85,13 @@ void Harness::RefreshInstant(ObjectIndex index, double t) {
 
 void Harness::OnUpdateEvent(ObjectIndex index, double t) {
   ObjectRuntime& object = objects_[index];
-  object.state.value = object.spec->process->ApplyUpdate(object.state.value, &object.rng);
+  object.state.value = workload_->process(index).ApplyUpdate(
+      object.state.value, TraceCursor(index), &object.rng);
   ++object.state.version;
   object.state.last_update_time = t;
-  for (int r = 0; r < object.num_replicas; ++r) {
-    object.trackers[r].OnUpdate(t, object.state.value, object.state.version);
+  const int64_t end = workload_->replica_offsets[index + 1];
+  for (int64_t k = workload_->replica_offsets[index]; k < end; ++k) {
+    trackers_[k].OnUpdate(t, object.state.value, object.state.version);
   }
   for (GroundTruth* ground_truth : ground_truths_) {
     ground_truth->OnSourceUpdate(index, t, object.state.value, object.state.version);
@@ -116,7 +102,8 @@ void Harness::OnUpdateEvent(ObjectIndex index, double t) {
 
 void Harness::ScheduleNextUpdate(ObjectIndex index, double now) {
   ObjectRuntime& object = objects_[index];
-  const double next = object.spec->process->NextUpdateTime(now, &object.rng);
+  const double next =
+      workload_->process(index).NextUpdateTime(now, TraceCursor(index), &object.rng);
   if (!std::isfinite(next)) return;
   sim_.ScheduleAt(next, [this, index](double t) { OnUpdateEvent(index, t); });
 }
@@ -128,13 +115,14 @@ Status Harness::Run(Scheduler* scheduler) {
   scheduler_ = scheduler;
 
   // Initialize object state and synchronized cache contents at t = 0.
-  for (ObjectRuntime& object : objects_) {
-    object.spec->process->Reset();
-    object.state.value = object.spec->initial_value;
-    object.state.version = 0;
-    object.state.last_update_time = -1.0;
-    for (int r = 0; r < object.num_replicas; ++r) {
-      object.trackers[r].OnRefresh(0.0, object.state.value, 0);
+  const int64_t* offsets = workload_->replica_offsets.data();
+  for (size_t i = 0; i < objects_.size(); ++i) {
+    ObjectState& state = objects_[i].state;
+    state.value = workload_->objects[i].initial_value;
+    state.version = 0;
+    state.last_update_time = -1.0;
+    for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      trackers_[k].OnRefresh(0.0, state.value, 0);
     }
   }
   for (GroundTruth* ground_truth : ground_truths_) ground_truth->Initialize(0.0);

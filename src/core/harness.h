@@ -48,25 +48,15 @@ struct HarnessConfig {
   uint64_t seed = 7;
 };
 
-/// Per-object mutable state during a simulation run.
+/// Per-object mutable state during a simulation run: everything else about
+/// an object is read from the (immutable) workload, and its per-replica
+/// trackers live in the harness's flat tracker table.
 struct ObjectRuntime {
-  const ObjectSpec* spec = nullptr;
   ObjectState state;
-  /// Source-side divergence bookkeeping, one tracker per replica (vs. the
-  /// value last shipped to that cache), aligned with spec->caches. Points
-  /// into the harness arena's flat tracker array — every object's trackers
-  /// are consecutive slices of one allocation, not a million tiny vectors.
-  DivergenceTracker* trackers = nullptr;
-  int num_replicas = 0;
   /// Private RNG stream driving this object's updates.
   Rng rng;
 
-  explicit ObjectRuntime(const ObjectSpec* s) : spec(s), rng(s->rng_seed) {}
-
-  /// Tracker of replica slot `r` (slot 0 is the only replica in the paper's
-  /// single-cache topology).
-  DivergenceTracker& tracker(int r = 0) { return trackers[r]; }
-  const DivergenceTracker& tracker(int r = 0) const { return trackers[r]; }
+  explicit ObjectRuntime(uint64_t seed) : rng(seed) {}
 };
 
 /// Statistics a scheduler reports after a run (fields irrelevant to a given
@@ -194,6 +184,17 @@ class Harness {
   Simulation& simulation() { return sim_; }
   std::vector<ObjectRuntime>& objects() { return objects_; }
   const ObjectRuntime& object(ObjectIndex index) const { return objects_[index]; }
+  const ObjectSpec& spec(ObjectIndex index) const { return workload_->objects[index]; }
+  /// Source-side divergence tracker of object `index`'s replica slot `r`
+  /// (vs. the value last shipped to that cache; slot 0 is the only replica
+  /// in the paper's single-cache topology). Row replica_offsets[index] + r
+  /// of one flat arena array.
+  DivergenceTracker& tracker(ObjectIndex index, int r = 0) {
+    return trackers_[workload_->replica_offsets[index] + r];
+  }
+  const DivergenceTracker& tracker(ObjectIndex index, int r = 0) const {
+    return trackers_[workload_->replica_offsets[index] + r];
+  }
   GroundTruth& ground_truth() { return *primary_ground_truth_; }
   Rng* scheduler_rng() { return &scheduler_rng_; }
   /// Run-lifetime bump allocator for hot-path per-replica state (trackers,
@@ -202,10 +203,14 @@ class Harness {
   Arena* arena() { return &arena_; }
 
   /// Cache-scheme weight W(O_i, t).
-  double WeightAt(ObjectIndex index, double t) const;
+  double WeightAt(ObjectIndex index, double t) const {
+    return workload_->WeightAt(index, t);
+  }
   /// Source-scheme weight (falls back to the cache scheme when the object
   /// defines no separate source weight).
-  double SourceWeightAt(ObjectIndex index, double t) const;
+  double SourceWeightAt(ObjectIndex index, double t) const {
+    return workload_->SourceWeightAt(index, t);
+  }
 
   // --- refresh plumbing ---
 
@@ -231,6 +236,10 @@ class Harness {
  private:
   void OnUpdateEvent(ObjectIndex index, double t);
   void ScheduleNextUpdate(ObjectIndex index, double now);
+  /// Object `index`'s trace cursor; null unless the workload replays traces.
+  uint32_t* TraceCursor(ObjectIndex index) {
+    return trace_cursors_.empty() ? nullptr : &trace_cursors_[index];
+  }
 
   const Workload* workload_;
   const DivergenceMetric* metric_;
@@ -240,6 +249,10 @@ class Harness {
   /// entries; declared before the structures pointing into it.
   Arena arena_;
   std::vector<ObjectRuntime> objects_;
+  /// One tracker per replica, indexed by the workload's replica_offsets.
+  DivergenceTracker* trackers_ = nullptr;
+  /// Per-object trace replay positions (trace workloads only, else empty).
+  std::vector<uint32_t> trace_cursors_;
   std::unique_ptr<GroundTruth> owned_ground_truth_;
   GroundTruth* primary_ground_truth_;
   std::vector<GroundTruth*> ground_truths_;

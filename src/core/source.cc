@@ -46,9 +46,10 @@ void SourceAgent::BuildChannels() {
   // Distinct cache ids across this source's objects, ascending. Per-object
   // cache lists are sorted, so a flat collect + sort + unique suffices.
   std::vector<int32_t> cache_ids;
+  const Workload& workload = harness_->workload();
   for (ObjectIndex index : members_) {
-    const ObjectSpec& spec = *harness_->object(index).spec;
-    cache_ids.insert(cache_ids.end(), spec.caches.begin(), spec.caches.end());
+    const CacheList caches = workload.caches(index);
+    cache_ids.insert(cache_ids.end(), caches.begin(), caches.end());
   }
   std::sort(cache_ids.begin(), cache_ids.end());
   cache_ids.erase(std::unique(cache_ids.begin(), cache_ids.end()), cache_ids.end());
@@ -71,7 +72,7 @@ void SourceAgent::BuildChannels() {
     channel_replicas.clear();
     for (size_t k = 0; k < members_.size(); ++k) {
       const ObjectIndex index = members_[k];
-      const int replica = harness_->object(index).spec->replica_slot(cache_id);
+      const int replica = workload.replica_slot(index, cache_id);
       if (replica < 0) continue;
       channel.slot_of[k] = static_cast<int32_t>(channel_members.size());
       channel_members.push_back(index);
@@ -83,7 +84,14 @@ void SourceAgent::BuildChannels() {
     std::copy(channel_members.begin(), channel_members.end(), channel.members);
     std::copy(channel_replicas.begin(), channel_replicas.end(),
               channel.replica_slots);
-    channel.locals = arena->AllocateArray<LocalState>(channel_members.size());
+    channel.epochs = arena->AllocateArray<uint64_t>(channel_members.size(), uint64_t{0});
+    if (config_.monitor == MonitorMode::kSampling) {
+      channel.sampled = arena->AllocateArray<SampledTracker>(channel_members.size());
+    }
+    if (policy_->kind() == PolicyKind::kAreaHistory) {
+      channel.history =
+          arena->AllocateArray<HistoryRateEstimator>(channel_members.size());
+    }
     if (protocol_ != nullptr && protocol_->emits_invalidations()) {
       channel.invalid_state =
           arena->AllocateArray<uint8_t>(channel_members.size(), uint8_t{kReplicaFresh});
@@ -101,31 +109,41 @@ int SourceAgent::ChannelSlot(const Channel& channel, ObjectIndex index) const {
   return slot;
 }
 
-SourceAgent::LocalState& SourceAgent::local(Channel* channel, ObjectIndex index) {
-  return channel->locals[ChannelSlot(*channel, index)];
+SourceAgent::ChannelEpoch SourceAgent::MakeEpochFn(const Channel* channel) const {
+  return ChannelEpoch{channel->epochs, channel->slot_of, first_member_};
 }
 
-SourceAgent::ChannelEpoch SourceAgent::MakeEpochFn(const Channel* channel) const {
-  return ChannelEpoch{channel->locals, channel->slot_of, first_member_};
+void SourceAgent::NoteRefresh(Channel* channel, int slot, ObjectIndex index,
+                              double now) {
+  if (channel->history != nullptr) {
+    // The finishing interval's realized divergence rate, read before the
+    // tracker resets.
+    const DivergenceTracker& tracker =
+        harness_->tracker(index, channel->replica_slots[slot]);
+    channel->history[slot].OnRefresh(now - tracker.last_refresh_time(),
+                                     tracker.IntegralTo(now));
+  }
+  if (channel->sampled != nullptr) channel->sampled[slot].OnRefresh(now);
 }
 
 PriorityContext SourceAgent::MakeContext(const Channel& channel, ObjectIndex index,
                                          double now, bool use_source_weight) const {
   const int slot = ChannelSlot(channel, index);
-  const ObjectRuntime& object = harness_->object(index);
-  const DivergenceTracker& tracker = object.tracker(channel.replica_slots[slot]);
+  const ObjectSpec& spec = harness_->spec(index);
+  const DivergenceTracker& tracker =
+      harness_->tracker(index, channel.replica_slots[slot]);
   PriorityContext context;
   context.tracker = &tracker;
   context.weight = use_source_weight ? harness_->SourceWeightAt(index, now)
                                      : harness_->WeightAt(index, now);
-  if (config_.cost_aware_priority && object.spec->refresh_cost > 1) {
+  if (config_.cost_aware_priority && spec.refresh_cost > 1) {
     // Section 10.1: non-uniform costs enter the weight inversely.
-    context.weight /= static_cast<double>(object.spec->refresh_cost);
+    context.weight /= static_cast<double>(spec.refresh_cost);
   }
-  context.max_divergence_rate = object.spec->max_divergence_rate;
-  context.history_rate = channel.locals[slot].history.rate();
+  context.max_divergence_rate = spec.max_divergence_rate;
+  if (channel.history != nullptr) context.history_rate = channel.history[slot].rate();
   context.lambda_estimate = EstimateLambda(
-      config_.lambda_mode, object.spec->lambda, object.state.version, now,
+      config_.lambda_mode, spec.lambda, harness_->object(index).state.version, now,
       tracker.updates_since_refresh(), now - tracker.last_refresh_time());
   return context;
 }
@@ -249,20 +267,20 @@ void SourceAgent::OnObjectUpdate(ObjectIndex index, double t) {
   for (Channel& channel : channels_) {
     const int32_t slot = channel.slot_of[index - first_member_];
     if (slot < 0) continue;
-    LocalState& state = channel.locals[slot];
+    uint64_t& epoch = channel.epochs[slot];
     if (policy_->time_varying()) {
       if (policy_->update_sensitive()) {
         // The update may have moved the threshold crossing earlier; re-arm.
-        ++state.epoch;
+        ++epoch;
         PushWake(&channel, index, t);
       }
       continue;
     }
-    ++state.epoch;
-    channel.queue.Push(ChannelPriority(channel, index, t), index, state.epoch);
+    ++epoch;
+    channel.queue.Push(ChannelPriority(channel, index, t), index, epoch);
     if (secondary_enabled_) {
       channel.secondary_queue.Push(ChannelSourcePriority(channel, index, t), index,
-                                   state.epoch);
+                                   epoch);
     }
     MaybeCompact(&channel);
   }
@@ -281,16 +299,16 @@ void SourceAgent::OnSampleEvent(int channel_index, ObjectIndex index, double t,
                                 Simulation* sim) {
   Channel& channel = channels_[channel_index];
   const int slot = ChannelSlot(channel, index);
-  LocalState& state = channel.locals[slot];
+  SampledTracker& sampled = channel.sampled[slot];
   // Direct measurement: the source compares its live value against the copy
   // it last shipped to this cache — exactly what the exact tracker's current
   // divergence is.
   const double divergence =
-      harness_->object(index).tracker(channel.replica_slots[slot]).current_divergence();
-  state.sampled.AddSample(t, divergence);
-  ++state.epoch;
+      harness_->tracker(index, channel.replica_slots[slot]).current_divergence();
+  sampled.AddSample(t, divergence);
+  const uint64_t epoch = ++channel.epochs[slot];
   const double weight = harness_->WeightAt(index, t);
-  channel.queue.Push(state.sampled.EstimatedPriority(t) * weight, index, state.epoch);
+  channel.queue.Push(sampled.EstimatedPriority(t) * weight, index, epoch);
   MaybeCompact(&channel);
   ScheduleNextSample(channel_index, index, t, sim);
 }
@@ -300,10 +318,10 @@ void SourceAgent::ScheduleNextSample(int channel_index, ObjectIndex index, doubl
   double next = now + config_.sampling_interval;
   if (config_.predictive_sampling) {
     Channel& channel = channels_[channel_index];
-    const LocalState& state = channel.locals[ChannelSlot(channel, index)];
+    const SampledTracker& sampled = channel.sampled[ChannelSlot(channel, index)];
     const double weight = harness_->WeightAt(index, now);
     const double predicted =
-        state.sampled.PredictCrossTime(channel.controller.threshold(), weight, now);
+        sampled.PredictCrossTime(channel.controller.threshold(), weight, now);
     // Sample "somewhat before" the predicted crossing, but never more often
     // than the minimum gap and never later than the base interval.
     const double candidate = std::max(now + config_.min_sampling_gap, predicted * 0.95);
@@ -341,7 +359,7 @@ void SourceAgent::OnFeedback(const Message& message, double t) {
     // crossings that are now earlier are not missed.
     for (int32_t s = 0; s < channel->num_members; ++s) {
       const ObjectIndex index = channel->members[s];
-      ++local(channel, index).epoch;
+      ++channel->epochs[s];
       PushWake(channel, index, t);
     }
   }
@@ -353,25 +371,15 @@ void SourceAgent::PushWake(Channel* channel, ObjectIndex index, double now) {
   const double cross =
       policy_->ThresholdCrossTime(context, channel->controller.threshold(), now);
   if (!std::isfinite(cross)) return;
-  channel->wake_queue.Push(cross, index, local(channel, index).epoch);
+  channel->wake_queue.Push(cross, index, channel->epochs[ChannelSlot(*channel, index)]);
 }
 
 void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
                               const EmitSink& sink, bool bump_threshold,
                               double priority) {
   const int slot = ChannelSlot(*channel, index);
-  LocalState& state = channel->locals[slot];
-  // Record the finishing interval's realized divergence rate before the
-  // tracker resets (feeds the history-extended policy).
-  {
-    const DivergenceTracker& tracker =
-        harness_->object(index).tracker(channel->replica_slots[slot]);
-    state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
-  }
+  NoteRefresh(channel, slot, index, now);
   Message message = harness_->MakeRefreshMessage(index, channel->cache_id, now);
-  if (config_.monitor == MonitorMode::kSampling) {
-    state.sampled.OnRefresh(now);
-  }
   if (bump_threshold) channel->controller.OnRefreshSent(now);
   // Piggyback the current (post-increase) threshold: the freshest
   // information the cache can have about this source.
@@ -382,7 +390,7 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
                 message.version, /*is_pull=*/false);
   }
   sink.Deliver(std::move(message));
-  ++state.epoch;
+  ++channel->epochs[slot];
   ++refreshes_sent_;
   channel->last_emit_time = now;
 }
@@ -398,18 +406,10 @@ Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) 
   BESYNC_CHECK(channel != nullptr)
       << "source " << index_ << " has no channel for cache " << cache_id;
   const int slot = ChannelSlot(*channel, index);
-  LocalState& state = channel->locals[slot];
   // Same interval bookkeeping as EmitRefresh: the pull closes a refresh
-  // interval for the replica, feeding the history-extended policy.
-  {
-    const DivergenceTracker& tracker =
-        harness_->object(index).tracker(channel->replica_slots[slot]);
-    state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
-  }
+  // interval for the replica.
+  NoteRefresh(channel, slot, index, now);
   Message message = harness_->MakeRefreshMessage(index, cache_id, now);
-  if (config_.monitor == MonitorMode::kSampling) {
-    state.sampled.OnRefresh(now);
-  }
   message.is_pull = true;
   message.piggyback_threshold = channel->controller.threshold();
   // Demand traffic: priority-preserving relays forward pulls ahead of any
@@ -421,7 +421,7 @@ Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) 
   }
   // The replica is fresh now; invalidate any queued push entry so the next
   // send phase does not re-send the value the pull just delivered.
-  ++state.epoch;
+  ++channel->epochs[slot];
   // Under the invalidation protocol the pull also closes the staleness
   // episode: the source's replica model returns to fresh, so the next
   // update queues a new notification, and any notification still queued
@@ -477,16 +477,15 @@ void SourceAgent::OnCacheRestart(int32_t cache_id, double now,
     // current (pre-crash, still-accruing) priority. Invalidation / TTL
     // sources push nothing — those replicas refill through demand pulls.
     if (!push_protocol()) continue;
-    LocalState& state = channel->locals[slot];
-    ++state.epoch;
+    const uint64_t epoch = ++channel->epochs[slot];
     if (policy_->time_varying()) {
       PushWake(channel, index, now);
       continue;
     }
-    channel->queue.Push(ChannelPriority(*channel, index, now), index, state.epoch);
+    channel->queue.Push(ChannelPriority(*channel, index, now), index, epoch);
     if (secondary_enabled_) {
       channel->secondary_queue.Push(ChannelSourcePriority(*channel, index, now),
-                                    index, state.epoch);
+                                    index, epoch);
     }
   }
   if (!priority_recovery && push_protocol() && !policy_->time_varying()) {
@@ -503,7 +502,7 @@ int64_t SourceAgent::SendRecovery(double now, Link* source_link, Link* cache_lin
   while (!channel->recovery_queue.empty()) {
     const int32_t slot = channel->recovery_queue.front();
     const ObjectIndex index = channel->members[slot];
-    const int64_t cost = harness_->object(index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(index).refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) break;
     channel->recovery_queue.pop_front();
     EmitRefresh(channel, index, now, sink, /*bump_threshold=*/false,
@@ -527,16 +526,7 @@ void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& bat
   for (size_t k = 0; k < batch.size(); ++k) {
     const ObjectIndex index = batch[k].index;
     const int slot = ChannelSlot(*channel, index);
-    LocalState& state = channel->locals[slot];
-    {
-      const DivergenceTracker& tracker =
-          harness_->object(index).tracker(channel->replica_slots[slot]);
-      state.history.OnRefresh(now - tracker.last_refresh_time(),
-                              tracker.IntegralTo(now));
-    }
-    if (config_.monitor == MonitorMode::kSampling) {
-      state.sampled.OnRefresh(now);
-    }
+    NoteRefresh(channel, slot, index, now);
     int64_t version = 0;
     if (k == 0) {
       message = harness_->MakeRefreshMessage(index, channel->cache_id, now);
@@ -551,7 +541,7 @@ void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& bat
       RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index, version,
                   /*is_pull=*/false);
     }
-    ++state.epoch;
+    ++channel->epochs[slot];
     ++refreshes_sent_;
   }
   // The whole batch travels as one unit-cost message — the amortization.
@@ -665,7 +655,7 @@ int64_t SourceAgent::SendRefreshesEventKeyed(Channel* channel, double now,
     }
     // Large objects may start transmitting on the last sliver of budget and
     // spill into the next tick (deficit carryover at the link).
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(top.index).refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) {
       channel->queue.Restore(top);
       at_full_capacity_ = true;
@@ -729,7 +719,7 @@ int64_t SourceAgent::SendSecondary(double now, int64_t max_count, Link* source_l
       channel->secondary_queue.Restore(top);
       break;
     }
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(top.index).refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) {
       channel->secondary_queue.Restore(top);
       at_full_capacity_ = true;
@@ -763,7 +753,7 @@ int64_t SourceAgent::SendRefreshesTimeVarying(Channel* channel, double now,
     const QueueEntry& candidate = due[k];
     const bool over_threshold =
         candidate.key >= channel->controller.threshold() && candidate.key > 0.0;
-    const int64_t cost = harness_->object(candidate.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(candidate.index).refresh_cost;
     if (over_threshold && !at_full_capacity_ &&
         source_link->TryConsumeAllowingDeficit(cost)) {
       EmitRefresh(channel, candidate.index, now, sink, /*bump_threshold=*/true,

@@ -229,12 +229,6 @@ class SourceAgent {
   double ComputeSourcePriority(ObjectIndex index, double now, int channel) const;
 
  private:
-  struct LocalState {
-    uint64_t epoch = 0;
-    SampledTracker sampled;
-    HistoryRateEstimator history;
-  };
-
   /// The source's model of one replica under the invalidation protocol:
   /// fresh (the cache holds the live value as far as the source shipped it),
   /// queued (an update happened, the notification awaits bandwidth), or
@@ -251,9 +245,10 @@ class SourceAgent {
   /// Per-cache protocol state: threshold controller T_{j,c}, the priority
   /// queues over the objects replicated at the cache, and the per-replica
   /// monitoring state. The fixed-size per-object tables (members, slot_of,
-  /// replica_slots, locals) are arena spans carved from the harness run
-  /// arena by BuildChannels — sized once from the interest map, never
-  /// resized, and freed wholesale with the run.
+  /// replica_slots, epochs and the optional monitoring tables) are arena
+  /// spans carved from the harness run arena by BuildChannels — sized once
+  /// from the interest map, never resized, and freed wholesale with the
+  /// run.
   struct Channel {
     Channel(int32_t cache, const ThresholdConfig& config, double feedback_period)
         : cache_id(cache), controller(config, feedback_period, /*start_time=*/0.0) {}
@@ -268,7 +263,15 @@ class SourceAgent {
     int32_t* slot_of = nullptr;
     /// Replica slot of each channel member at this cache (tracker index).
     int32_t* replica_slots = nullptr;
-    LocalState* locals = nullptr;
+    /// Per-member queue epoch: bumping it invalidates the member's queued
+    /// entries lazily.
+    uint64_t* epochs = nullptr;
+    /// Per-member sampled divergence (MonitorMode::kSampling only, else
+    /// null).
+    SampledTracker* sampled = nullptr;
+    /// Per-member realized divergence-rate history (PolicyKind::kAreaHistory
+    /// only, else null).
+    HistoryRateEstimator* history = nullptr;
     /// Event-keyed queue: priority recomputed on updates (or samples).
     LazyMaxHeap queue;
     /// Competitive mode: the same objects keyed by the source's own priority.
@@ -287,21 +290,23 @@ class SourceAgent {
     std::deque<int32_t> recovery_queue;
   };
 
-  /// Inlined epoch resolver over a channel's local-state table. A plain
-  /// struct so the heap templates inline the lookup — the staleness check
-  /// runs once per heap comparison on the send-phase hot path.
+  /// Inlined epoch resolver over a channel's epoch table. A plain struct so
+  /// the heap templates inline the lookup — the staleness check runs once
+  /// per heap comparison on the send-phase hot path.
   struct ChannelEpoch {
-    const LocalState* locals;
+    const uint64_t* epochs;
     const int32_t* slot_of;
     ObjectIndex first_member;
     uint64_t operator()(ObjectIndex index) const {
-      return locals[slot_of[index - first_member]].epoch;
+      return epochs[slot_of[index - first_member]];
     }
   };
 
   void BuildChannels();
   int ChannelSlot(const Channel& channel, ObjectIndex index) const;
-  LocalState& local(Channel* channel, ObjectIndex index);
+  /// Records the refresh of channel slot `slot` (object `index`) in the
+  /// optional monitoring tables; call before the tracker resets.
+  void NoteRefresh(Channel* channel, int slot, ObjectIndex index, double now);
   ChannelEpoch MakeEpochFn(const Channel* channel) const;
   PriorityContext MakeContext(const Channel& channel, ObjectIndex index, double now,
                               bool use_source_weight) const;

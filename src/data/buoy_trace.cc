@@ -1,9 +1,9 @@
 #include "data/buoy_trace.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
-#include "data/weight.h"
 #include "util/logging.h"
 
 namespace besync {
@@ -62,24 +62,24 @@ Result<Workload> MakeBuoyWorkload(const BuoyTraceConfig& config) {
   workload.objects_per_source = config.components_per_buoy;
   workload.has_fluctuating_weights = false;
   workload.objects.reserve(traces.size());
+  auto table = std::make_shared<TraceTable>();
 
   for (size_t i = 0; i < traces.size(); ++i) {
     ObjectSpec spec;
-    spec.index = static_cast<ObjectIndex>(i);
     spec.source_index = static_cast<int32_t>(i / config.components_per_buoy);
     // The first trace value doubles as the initial (synchronized) value.
     spec.initial_value = traces[i].empty() ? 0.0 : traces[i].front().value;
-    auto process = std::make_unique<TraceProcess>(std::move(traces[i]));
-    spec.lambda = process->rate();
-    spec.process = std::move(process);
-    spec.weight = MakeConstantWeight(1.0);
+    spec.process = ProcessKind::kTrace;
+    spec.process_param = table->Add(traces[i]);
+    spec.lambda = table->rate(spec.process_param);
     // Wind values move at most (max - min) per measurement; a practical
     // bound rate for Section 9 style policies.
     spec.max_divergence_rate =
         (config.max_value - config.min_value) / config.measurement_interval;
     spec.rng_seed = rng.NextUint64();
-    workload.objects.push_back(std::move(spec));
+    workload.AddObject(spec);
   }
+  workload.traces = std::move(table);
   return workload;
 }
 

@@ -55,10 +55,10 @@ struct ReadWorkloadConfig {
 };
 
 /// Generates one cache's client read stream: when reads arrive and which of
-/// the cache's replicated objects each read targets. Mirrors the
-/// UpdateProcess idiom (data/update_process.h): instances may hold cursor
-/// state (trace replay), draws come from the caller's RNG, and Clone()
-/// supports fanning a workload across concurrent runner jobs.
+/// the cache's replicated objects each read targets. Draws come from the
+/// caller's RNG; instances may hold cursor state (trace replay), the one
+/// piece of a workload a run mutates, and Clone() supports fanning a
+/// workload across concurrent runner jobs.
 class ReadProcess {
  public:
   virtual ~ReadProcess() = default;

@@ -1,133 +1,51 @@
 #ifndef BESYNC_DATA_UPDATE_PROCESS_H_
 #define BESYNC_DATA_UPDATE_PROCESS_H_
 
-#include <memory>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "util/random.h"
 
 namespace besync {
 
-/// Generates the update stream of one source data object: when updates occur
-/// and how each update mutates the value. Instances are per-object and may
-/// hold cursor state (trace replay); the random draws come from the caller's
-/// per-object RNG so update streams are identical across schedulers run on
-/// the same seed.
-class UpdateProcess {
- public:
-  virtual ~UpdateProcess() = default;
-
-  /// Time of the next update strictly after `now`; +infinity if none.
-  virtual double NextUpdateTime(double now, Rng* rng) = 0;
-
-  /// Applies one update (at the time previously returned by NextUpdateTime)
-  /// and returns the new value.
-  virtual double ApplyUpdate(double current_value, Rng* rng) = 0;
-
-  /// Long-run average update rate (updates/second); the lambda parameter
-  /// available to oracles and to the CGM "ideal cache-based" baseline.
-  virtual double rate() const = 0;
-
-  /// Rewinds any internal cursor state so the same workload object can be
-  /// run under several schedulers. Stateless processes need not override.
-  virtual void Reset() {}
-
-  /// Deep copy, including any cursor state: given identical subsequent RNG
-  /// draws, the clone produces exactly the update stream the original would
-  /// have produced. Enables CloneWorkload (data/workload.h), which fans one
-  /// workload out across concurrently running jobs.
-  virtual std::unique_ptr<UpdateProcess> Clone() const = 0;
+/// The shape of an object's update stream.
+enum class ProcessKind : uint8_t {
+  /// Poisson-timed random walk: updates arrive as a Poisson process with
+  /// rate lambda; each update moves the value by +-step with equal
+  /// probability (paper Sections 4.3, 6.2).
+  kPoissonWalk,
+  /// Per-second Bernoulli random walk: at each integer time the object is
+  /// updated with probability p ("each simulated object O_i was updated with
+  /// probability p_i each second", Section 4.3). p = 1 reproduces the
+  /// paper's "updated consistently every second" objects.
+  kBernoulliWalk,
+  /// Poisson random walk whose rate toggles between two regime rates (see
+  /// RegimeSwitch). Used by the history-priority ablation (Section 10.1
+  /// discusses trading adaptiveness for longer-history predictions; regime
+  /// switches are exactly where that trade bites).
+  kRegimeSwitching,
+  /// Deterministic one-sided drift: the value increases by `step` exactly
+  /// every 1/lambda seconds. Under the value-deviation metric its divergence
+  /// is (up to discretization) lambda*step*(t - t_last) — it *equals* the
+  /// Section 9 divergence bound with rate R = lambda*step, so the
+  /// divergence-bounding experiments can measure the bound directly.
+  kDrift,
+  /// Replays a fixed, time-ordered trace of (time, value) measurements (the
+  /// wind-buoy experiment, Section 6.2.1).
+  kTrace,
 };
 
-/// Poisson-timed random walk: updates arrive as a Poisson process with rate
-/// lambda; each update increments or decrements the value by `step` with
-/// equal probability (paper Sections 4.3, 6.2).
-class PoissonRandomWalkProcess : public UpdateProcess {
- public:
-  PoissonRandomWalkProcess(double lambda, double step = 1.0);
-
-  double NextUpdateTime(double now, Rng* rng) override;
-  double ApplyUpdate(double current_value, Rng* rng) override;
-  double rate() const override { return lambda_; }
-  std::unique_ptr<UpdateProcess> Clone() const override {
-    return std::make_unique<PoissonRandomWalkProcess>(lambda_, step_);
-  }
-
- private:
-  double lambda_;
-  double step_;
-};
-
-/// Per-second Bernoulli random walk: at each integer time the object is
-/// updated with probability p ("each simulated object O_i was updated with
-/// probability p_i each second", Section 4.3). p = 1 reproduces the paper's
-/// "updated consistently every second" objects.
-class BernoulliRandomWalkProcess : public UpdateProcess {
- public:
-  BernoulliRandomWalkProcess(double probability, double step = 1.0);
-
-  double NextUpdateTime(double now, Rng* rng) override;
-  double ApplyUpdate(double current_value, Rng* rng) override;
-  double rate() const override { return probability_; }
-  std::unique_ptr<UpdateProcess> Clone() const override {
-    return std::make_unique<BernoulliRandomWalkProcess>(probability_, step_);
-  }
-
- private:
-  double probability_;
-  double step_;
-};
-
-/// Poisson random walk whose rate toggles between `rate_a` and `rate_b`
-/// every `regime_length` seconds (starting in regime A). Used by the
-/// history-priority ablation (Section 10.1 discusses trading adaptiveness
-/// for longer-history predictions; regime switches are exactly where that
-/// trade bites).
-class RegimeSwitchingProcess : public UpdateProcess {
- public:
-  RegimeSwitchingProcess(double rate_a, double rate_b, double regime_length,
-                         double step = 1.0);
-
-  double NextUpdateTime(double now, Rng* rng) override;
-  double ApplyUpdate(double current_value, Rng* rng) override;
-  /// Long-run average rate (the mean of the two regime rates).
-  double rate() const override { return 0.5 * (rate_a_ + rate_b_); }
-  std::unique_ptr<UpdateProcess> Clone() const override {
-    return std::make_unique<RegimeSwitchingProcess>(rate_a_, rate_b_, regime_length_,
-                                                    step_);
-  }
+/// Parameters of a kRegimeSwitching process: the rate is `rate_a` during
+/// even regimes [2k L, (2k+1) L) and `rate_b` during odd ones (L =
+/// regime_length), starting in regime A.
+struct RegimeSwitch {
+  double rate_a = 0.0;
+  double rate_b = 0.0;
+  double regime_length = 1.0;
 
   /// Rate in force at time `t`.
   double RateAt(double t) const;
-
- private:
-  double rate_a_;
-  double rate_b_;
-  double regime_length_;
-  double step_;
-};
-
-/// Deterministic one-sided drift: the value increases by `step` exactly
-/// every 1/lambda seconds. Under the value-deviation metric the divergence
-/// of such an object is (up to discretization) lambda*step*(t - t_last) —
-/// i.e. it *equals* the Section 9 divergence bound with rate
-/// R = lambda*step. Used by the divergence-bounding experiments: minimizing
-/// the average bound on any workload is equivalent to minimizing actual
-/// divergence on the drift workload with matching rates.
-class DriftProcess : public UpdateProcess {
- public:
-  DriftProcess(double lambda, double step = 1.0);
-
-  double NextUpdateTime(double now, Rng* rng) override;
-  double ApplyUpdate(double current_value, Rng* rng) override;
-  double rate() const override { return lambda_; }
-  std::unique_ptr<UpdateProcess> Clone() const override {
-    return std::make_unique<DriftProcess>(lambda_, step_);
-  }
-
- private:
-  double lambda_;
-  double step_;
 };
 
 /// One timestamped point of a replayed measurement trace.
@@ -136,27 +54,59 @@ struct TracePoint {
   double value = 0.0;
 };
 
-/// Replays a fixed, time-ordered trace of (time, value) measurements (the
-/// wind-buoy experiment, Section 6.2.1). Holds a cursor advanced by
-/// ApplyUpdate.
-class TraceProcess : public UpdateProcess {
- public:
-  explicit TraceProcess(std::vector<TracePoint> points);
+/// Every trace-driven object's points in one immutable table: trace k is
+/// points[offsets[k] .. offsets[k+1]). Workloads hold it through a
+/// shared_ptr<const TraceTable>, so clones share it and a run only reads it.
+struct TraceTable {
+  std::vector<TracePoint> points;
+  std::vector<uint32_t> offsets = {0};
 
-  double NextUpdateTime(double now, Rng* rng) override;
-  double ApplyUpdate(double current_value, Rng* rng) override;
-  double rate() const override { return rate_; }
-  void Reset() override { cursor_ = 0; }
-  /// Copies the full point vector and the current cursor position.
-  std::unique_ptr<UpdateProcess> Clone() const override;
-
-  size_t num_points() const { return points_.size(); }
-
- private:
-  std::vector<TracePoint> points_;
-  size_t cursor_ = 0;
-  double rate_ = 0.0;
+  /// Appends one trace (times strictly increasing, checked); returns its id.
+  int32_t Add(const std::vector<TracePoint>& trace);
+  int32_t num_traces() const { return static_cast<int32_t>(offsets.size()) - 1; }
+  /// Average update rate of trace `k`: (points - 1) / time span, 0 for
+  /// fewer than two points.
+  double rate(int32_t k) const;
 };
+
+/// Generates the update stream of one object: when updates occur and how
+/// each update mutates the value. A tagged value dispatched by `switch`,
+/// built per call by Workload::process() from the object's row and the
+/// workload's side tables. It owns nothing and mutates nothing but its
+/// arguments: the random draws come from the caller's per-object RNG (so
+/// update streams are identical across schedulers run on the same seed),
+/// and a trace replay's position lives in the caller's `cursor` (a run's
+/// ObjectRuntime), so one workload can be run any number of times.
+struct UpdateProcess {
+  ProcessKind kind = ProcessKind::kPoissonWalk;
+  /// Update rate lambda (kPoissonWalk, kDrift) or per-second update
+  /// probability (kBernoulliWalk); unused by the other kinds.
+  double rate = 0.0;
+  /// Value change per update (all kinds but kTrace).
+  double step = 1.0;
+  /// kRegimeSwitching only.
+  RegimeSwitch regime;
+  /// kTrace only: the replayed points, in time order.
+  const TracePoint* trace = nullptr;
+  uint32_t trace_size = 0;
+
+  static UpdateProcess PoissonWalk(double lambda, double step = 1.0);
+  static UpdateProcess BernoulliWalk(double probability, double step = 1.0);
+  static UpdateProcess Switching(const RegimeSwitch& regime, double step = 1.0);
+  static UpdateProcess Drift(double lambda, double step = 1.0);
+  /// Replays trace `k` of `table`, which must outlive the value.
+  static UpdateProcess Trace(const TraceTable& table, int32_t k);
+
+  /// Time of the next update strictly after `now`; +infinity if none. Trace
+  /// replays skip (for good) points at or before `now`.
+  double NextUpdateTime(double now, uint32_t* cursor, Rng* rng) const;
+
+  /// Applies one update (at the time previously returned by NextUpdateTime)
+  /// and returns the new value.
+  double ApplyUpdate(double current_value, uint32_t* cursor, Rng* rng) const;
+};
+
+static_assert(std::is_trivially_copyable_v<UpdateProcess>);
 
 }  // namespace besync
 

@@ -24,33 +24,50 @@ std::string InterestPatternToString(InterestPattern pattern) {
 std::vector<std::vector<int32_t>> SourcesByCache(const Workload& workload) {
   std::vector<std::vector<int32_t>> sources(
       static_cast<size_t>(workload.num_caches));
-  // Objects are grouped by source and each spec's cache list is ascending,
-  // so appending while deduplicating against the back keeps lists sorted.
-  for (const ObjectSpec& spec : workload.objects) {
-    for (int32_t cache : spec.caches) {
+  // Objects are grouped by source and each cache list is ascending, so
+  // appending while deduplicating against the back keeps lists sorted.
+  for (size_t i = 0; i < workload.objects.size(); ++i) {
+    const int32_t source = workload.objects[i].source_index;
+    for (int32_t cache : workload.caches(static_cast<ObjectIndex>(i))) {
       auto& list = sources[cache];
-      if (list.empty() || list.back() != spec.source_index) {
-        list.push_back(spec.source_index);
-      }
+      if (list.empty() || list.back() != source) list.push_back(source);
     }
   }
   return sources;
 }
 
-ObjectSpec CloneObjectSpec(const ObjectSpec& spec) {
-  ObjectSpec clone;
-  clone.index = spec.index;
-  clone.source_index = spec.source_index;
-  clone.caches = spec.caches;
-  clone.lambda = spec.lambda;
-  clone.initial_value = spec.initial_value;
-  if (spec.process != nullptr) clone.process = spec.process->Clone();
-  if (spec.weight != nullptr) clone.weight = spec.weight->Clone();
-  if (spec.source_weight != nullptr) clone.source_weight = spec.source_weight->Clone();
-  clone.max_divergence_rate = spec.max_divergence_rate;
-  clone.refresh_cost = spec.refresh_cost;
-  clone.rng_seed = spec.rng_seed;
-  return clone;
+void Workload::AddObject(const ObjectSpec& spec, const std::vector<int32_t>& caches) {
+  BESYNC_CHECK(!caches.empty()) << "object " << objects.size() << " has no cache";
+  for (size_t r = 1; r < caches.size(); ++r) {
+    BESYNC_CHECK_LT(caches[r - 1], caches[r]) << "cache lists must be ascending";
+  }
+  objects.push_back(spec);
+  replica_caches.insert(replica_caches.end(), caches.begin(), caches.end());
+  replica_offsets.push_back(static_cast<int64_t>(replica_caches.size()));
+}
+
+namespace {
+int32_t AppendRow(std::vector<Fluctuation>* table, const Fluctuation& row) {
+  table->push_back(row);
+  return static_cast<int32_t>(table->size()) - 1;
+}
+}  // namespace
+
+void Workload::SetWeight(ObjectIndex index, const Fluctuation& weight) {
+  ObjectSpec& spec = objects[index];
+  spec.weight = weight.average();
+  spec.weight_wave = weight.constant() ? -1 : AppendRow(&weight_waves, weight);
+}
+
+void Workload::SetSourceWeight(ObjectIndex index, const Fluctuation& weight) {
+  objects[index].source_weight = AppendRow(&source_weights, weight);
+}
+
+void Workload::SetRegimeSwitch(ObjectIndex index, const RegimeSwitch& regime) {
+  UpdateProcess::Switching(regime);  // validates the parameters
+  objects[index].process = ProcessKind::kRegimeSwitching;
+  objects[index].process_param = static_cast<int32_t>(regime_switches.size());
+  regime_switches.push_back(regime);
 }
 
 Workload CloneWorkload(const Workload& workload) {
@@ -58,50 +75,50 @@ Workload CloneWorkload(const Workload& workload) {
   clone.num_sources = workload.num_sources;
   clone.objects_per_source = workload.objects_per_source;
   clone.num_caches = workload.num_caches;
-  clone.topology = workload.topology;  // plain data, copyable
+  clone.topology = workload.topology;
+  clone.objects = workload.objects;
+  clone.replica_offsets = workload.replica_offsets;
+  clone.replica_caches = workload.replica_caches;
+  clone.regime_switches = workload.regime_switches;
+  clone.weight_waves = workload.weight_waves;
+  clone.source_weights = workload.source_weights;
+  clone.traces = workload.traces;  // immutable, shared
   clone.has_fluctuating_weights = workload.has_fluctuating_weights;
-  clone.read = workload.read;  // plain data, copyable
+  clone.read = workload.read;
   clone.read_streams.reserve(workload.read_streams.size());
   for (const std::unique_ptr<ReadProcess>& stream : workload.read_streams) {
     clone.read_streams.push_back(stream != nullptr ? stream->Clone() : nullptr);
   }
-  clone.faults = workload.faults;  // plain data, copyable
-  clone.objects.reserve(workload.objects.size());
-  for (const ObjectSpec& spec : workload.objects) {
-    clone.objects.push_back(CloneObjectSpec(spec));
-  }
+  clone.faults = workload.faults;
   return clone;
 }
 
 namespace {
 
-/// Assigns `spec->caches` for one object under the configured interest
+/// Fills `caches` with one object's interest list under the configured
 /// pattern. `interest_rng` is drawn from only in kZipfOverlap mode, so the
 /// default patterns leave the generator stream untouched.
-void AssignInterest(const WorkloadConfig& config, Rng* interest_rng,
-                    ObjectSpec* spec) {
-  const int32_t primary =
-      spec->source_index % static_cast<int32_t>(config.num_caches);
+void AssignInterest(const WorkloadConfig& config, int32_t source_index,
+                    Rng* interest_rng, std::vector<int32_t>* caches) {
+  const int32_t primary = source_index % static_cast<int32_t>(config.num_caches);
+  caches->clear();
   switch (config.interest_pattern) {
     case InterestPattern::kSingleCache:
-      spec->caches = {0};
+      caches->push_back(0);
       break;
     case InterestPattern::kPartitionedBySource:
-      spec->caches = {primary};
+      caches->push_back(primary);
       break;
     case InterestPattern::kFullReplication:
-      spec->caches.resize(config.num_caches);
-      for (int c = 0; c < config.num_caches; ++c) spec->caches[c] = c;
+      for (int c = 0; c < config.num_caches; ++c) caches->push_back(c);
       break;
     case InterestPattern::kZipfOverlap: {
       const int degree = static_cast<int>(
           interest_rng->Zipf(config.num_caches, config.zipf_overlap_exponent));
-      spec->caches.clear();
       for (int k = 0; k < degree; ++k) {
-        spec->caches.push_back((primary + k) %
-                               static_cast<int32_t>(config.num_caches));
+        caches->push_back((primary + k) % static_cast<int32_t>(config.num_caches));
       }
-      std::sort(spec->caches.begin(), spec->caches.end());
+      std::sort(caches->begin(), caches->end());
       break;
     }
   }
@@ -131,7 +148,7 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
     return Status::InvalidArgument("invalid rate range");
   }
   if (config.update_model == WorkloadConfig::UpdateModel::kBernoulli &&
-      (config.rate_hi > 1.0 || config.fast_rate > 1.0)) {
+      (config.rate_hi > 1.0 || config.fast_rate > 1.0 || config.slow_rate > 1.0)) {
     return Status::InvalidArgument(
         "Bernoulli update probabilities must be <= 1");
   }
@@ -231,17 +248,19 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
   BESYNC_RETURN_IF_ERROR(
       workload.faults.Validate(workload.topology, config.num_caches));
   workload.objects.reserve(total);
+  workload.replica_offsets.reserve(total + 1);
+  workload.replica_caches.reserve(total);
 
   // Interest assignment uses a dedicated stream so the default single-cache
   // path consumes no randomness and stays bit-identical to the historical
   // generator output.
   Rng interest_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
+  std::vector<int32_t> caches;  // reused across objects
 
   for (int64_t i = 0; i < total; ++i) {
     ObjectSpec spec;
-    spec.index = i;
     spec.source_index = static_cast<int32_t>(i / config.objects_per_source);
-    AssignInterest(config, &interest_rng, &spec);
+    AssignInterest(config, spec.source_index, &interest_rng, &caches);
 
     switch (config.rate_distribution) {
       case RateDistribution::kUniform:
@@ -251,23 +270,16 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
         spec.lambda = fast_half[i] ? config.fast_rate : config.slow_rate;
         break;
     }
-
-    switch (config.update_model) {
-      case WorkloadConfig::UpdateModel::kPoisson:
-        spec.process =
-            std::make_unique<PoissonRandomWalkProcess>(spec.lambda, config.value_step);
-        break;
-      case WorkloadConfig::UpdateModel::kBernoulli:
-        spec.process =
-            std::make_unique<BernoulliRandomWalkProcess>(spec.lambda, config.value_step);
-        break;
-    }
+    spec.process = config.update_model == WorkloadConfig::UpdateModel::kBernoulli
+                       ? ProcessKind::kBernoulliWalk
+                       : ProcessKind::kPoissonWalk;
+    spec.step = config.value_step;
 
     double base_weight = 1.0;
     if (config.weight_scheme == WeightScheme::kHalfHeavy && heavy_half[i]) {
       base_weight = config.heavy_weight;
     }
-    spec.weight = MakeWeightFluctuation(
+    const Fluctuation weight = MakeWeightFluctuation(
         base_weight, config.weight_fluctuation_amplitude, config.weight_period_min,
         config.weight_period_max, &rng);
 
@@ -280,9 +292,9 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
     // (used only by the Section 9 bounding policy).
     spec.max_divergence_rate = spec.lambda * config.value_step;
 
-    spec.initial_value = 0.0;
     spec.rng_seed = rng.NextUint64();
-    workload.objects.push_back(std::move(spec));
+    workload.AddObject(spec, caches);
+    workload.SetWeight(i, weight);
   }
 
   return workload;

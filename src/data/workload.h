@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "data/object.h"
@@ -16,42 +17,26 @@
 
 namespace besync {
 
-/// Static description of one object in a workload. The update process and
-/// weight function are owned here; the per-run mutable state (value,
-/// version, trackers) lives in the scheduler harness.
+/// Static description of one object in a workload: one trivially copyable
+/// row. Everything a run mutates (value, version, RNG, trace cursor) lives
+/// in the harness's ObjectRuntime; the interest map and the rare
+/// parameters live in Workload tables (the row points at side-table rows by
+/// index, -1 = none).
 struct ObjectSpec {
-  ObjectIndex index = 0;
+  // Hot fields, read by every update event, kept together.
   /// Which source hosts this object (0 .. m-1).
   int32_t source_index = 0;
-  /// Which caches replicate this object (the interest map), ascending and
-  /// duplicate-free. The default reproduces the paper's Figure-1 topology —
-  /// a single cache, so every object lives at cache 0 — but since the
-  /// multi-cache generalization any subset of 0 .. num_caches-1 is valid
-  /// (see InterestPattern for the generated shapes).
-  std::vector<int32_t> caches = {0};
-
-  /// Position of `cache_id` in `caches` (the object's replica slot at that
-  /// cache), or -1 if the cache does not replicate this object.
-  int replica_slot(int32_t cache_id) const {
-    for (size_t r = 0; r < caches.size(); ++r) {
-      if (caches[r] == cache_id) return static_cast<int>(r);
-    }
-    return -1;
-  }
-  int num_replicas() const { return static_cast<int>(caches.size()); }
-  /// Long-run average update rate (the lambda parameter); mirror of
-  /// process->rate() kept here for oracle access.
+  /// Shape of the update stream (data/update_process.h).
+  ProcessKind process = ProcessKind::kPoissonWalk;
+  /// Long-run average update rate (the lambda parameter, available to
+  /// oracles and to the CGM "ideal cache-based" baseline). It is also the
+  /// rate kPoissonWalk and kDrift draw with and kBernoulliWalk's per-second
+  /// update probability.
   double lambda = 0.0;
-  double initial_value = 0.0;
-  std::unique_ptr<UpdateProcess> process;
-  /// Refresh weight W(O,t) (never null).
-  std::unique_ptr<Fluctuation> weight;
-  /// Optional conflicting per-source weight for the competitive experiments
-  /// of Section 7 (null when sources and cache share one weighting scheme).
-  std::unique_ptr<Fluctuation> source_weight;
-  /// Maximum divergence rate R_i for the divergence-bounding policy of
-  /// Section 9 (<= 0 when unknown/unused).
-  double max_divergence_rate = 0.0;
+  /// Value change per update (all process kinds but kTrace).
+  double step = 1.0;
+  /// Average refresh weight W(O,t); the weight itself when weight_wave < 0.
+  double weight = 1.0;
   /// Transmission cost of one refresh in bandwidth units (Section 10.1
   /// non-uniform-cost extension); 1 = the paper's unit-size model.
   int64_t refresh_cost = 1;
@@ -59,11 +44,41 @@ struct ObjectSpec {
   /// from the workload seed so update streams are identical across
   /// schedulers run on the same workload configuration.
   uint64_t rng_seed = 0;
+
+  double initial_value = 0.0;
+  /// Maximum divergence rate R_i for the divergence-bounding policy of
+  /// Section 9 (<= 0 when unknown/unused).
+  double max_divergence_rate = 0.0;
+  /// Row of Workload::regime_switches (kRegimeSwitching) or trace id in
+  /// Workload::traces (kTrace); -1 for the other kinds.
+  int32_t process_param = -1;
+  /// Row of Workload::weight_waves holding a fluctuating weight.
+  int32_t weight_wave = -1;
+  /// Row of Workload::source_weights holding a conflicting per-source
+  /// weight for the competitive experiments of Section 7 (-1 when sources
+  /// and cache share one weighting scheme).
+  int32_t source_weight = -1;
+};
+
+static_assert(std::is_trivially_copyable_v<ObjectSpec>);
+
+/// One object's interest list: its slice of Workload::replica_caches.
+struct CacheList {
+  const int32_t* data = nullptr;
+  int count = 0;
+
+  const int32_t* begin() const { return data; }
+  const int32_t* end() const { return data + count; }
+  int size() const { return count; }
+  int32_t operator[](int r) const { return data[r]; }
+  int32_t front() const { return data[0]; }
 };
 
 /// A complete multi-source workload: m sources with n objects each,
-/// replicated over `num_caches` caches according to the per-object interest
-/// map (`ObjectSpec::caches`).
+/// replicated over `num_caches` caches according to the interest map.
+/// Immutable during a run: schedulers and the harness only read it, so one
+/// instance can be run any number of times in sequence (only
+/// `read_streams` carry cursor state; see exp/runner.h).
 struct Workload {
   int num_sources = 0;
   int objects_per_source = 0;
@@ -76,6 +91,21 @@ struct Workload {
   /// num_caches when non-flat.
   TopologySpec topology;
   std::vector<ObjectSpec> objects;  // size m*n, grouped by source
+  /// The interest map in CSR form: object i is replicated at caches
+  /// replica_caches[replica_offsets[i] .. replica_offsets[i+1]), ascending
+  /// and duplicate-free (any nonempty subset of 0 .. num_caches-1; see
+  /// InterestPattern for the generated shapes). replica_offsets[i] + r is
+  /// also the row of replica (i, r) in every per-replica table: source
+  /// trackers and ground-truth entries. Filled by AddObject.
+  std::vector<int64_t> replica_offsets = {0};
+  std::vector<int32_t> replica_caches;
+  /// Side tables for rare per-object parameters (ObjectSpec indexes them).
+  std::vector<RegimeSwitch> regime_switches;
+  std::vector<Fluctuation> weight_waves;
+  std::vector<Fluctuation> source_weights;
+  /// Trace points of the kTrace objects (null when there are none); one
+  /// immutable table that clones share.
+  std::shared_ptr<const TraceTable> traces;
   /// True if any weight fluctuates over time (enables periodic weight
   /// refresh in the divergence accounting).
   bool has_fluctuating_weights = false;
@@ -85,14 +115,23 @@ struct Workload {
   ReadWorkloadConfig read;
   /// Optional per-cache client read streams (size num_caches when set;
   /// empty = generate Poisson/Zipf streams from `read` when read_rate > 0).
-  /// Owned here like ObjectSpec::process, and mutated during a run (trace
-  /// cursors) — the same sharing hazard applies (exp/runner.h), and
-  /// CloneWorkload deep-copies them for the clone-per-job path.
+  /// The one part of a workload a run mutates (trace cursors) — the
+  /// sharing hazard of exp/runner.h — so CloneWorkload deep-copies them.
   std::vector<std::unique_ptr<ReadProcess>> read_streams;
   /// Scripted fault events applied during the run (fault/fault_schedule.h).
   /// Empty (the default) keeps the fault layer entirely inert: fault-free
   /// runs are bitwise identical to the pre-fault engine.
   FaultSchedule faults;
+
+  /// Appends `spec` as the next object, replicated at `caches` (ascending,
+  /// duplicate-free; the default is the paper's single cache 0).
+  void AddObject(const ObjectSpec& spec, const std::vector<int32_t>& caches = {0});
+  /// Set one object's refresh weight W(O,t) (a fluctuating one goes to the
+  /// weight_waves table), its separate source-scheme weight (Section 7), or
+  /// a kRegimeSwitching process. Each call on a side table appends a row.
+  void SetWeight(ObjectIndex index, const Fluctuation& weight);
+  void SetSourceWeight(ObjectIndex index, const Fluctuation& weight);
+  void SetRegimeSwitch(ObjectIndex index, const RegimeSwitch& regime);
 
   /// True when any client reads will be generated (rate-driven or
   /// trace-driven). Capacity limits apply independently of this.
@@ -102,10 +141,52 @@ struct Workload {
 
   /// Total number of (object, cache) replicas — the unit the multi-cache
   /// objective sums over.
-  int64_t total_replicas() const {
-    int64_t total = 0;
-    for (const ObjectSpec& spec : objects) total += spec.num_replicas();
-    return total;
+  int64_t total_replicas() const { return static_cast<int64_t>(replica_caches.size()); }
+
+  /// The caches replicating object `index`.
+  CacheList caches(ObjectIndex index) const {
+    return CacheList{replica_caches.data() + replica_offsets[index],
+                     num_replicas(index)};
+  }
+  int num_replicas(ObjectIndex index) const {
+    return static_cast<int>(replica_offsets[index + 1] - replica_offsets[index]);
+  }
+  /// Position of `cache_id` in object `index`'s cache list (its replica
+  /// slot at that cache), or -1 if the cache does not replicate it.
+  int replica_slot(ObjectIndex index, int32_t cache_id) const {
+    const CacheList list = caches(index);
+    for (int r = 0; r < list.size(); ++r) {
+      if (list[r] == cache_id) return r;
+    }
+    return -1;
+  }
+
+  /// Cache-scheme weight W(O_i, t).
+  double WeightAt(ObjectIndex index, double t) const {
+    const ObjectSpec& spec = objects[index];
+    return spec.weight_wave < 0 ? spec.weight : weight_waves[spec.weight_wave].ValueAt(t);
+  }
+  /// Source-scheme weight (falls back to the cache scheme when the object
+  /// defines no separate source weight).
+  double SourceWeightAt(ObjectIndex index, double t) const {
+    const int32_t row = objects[index].source_weight;
+    return row < 0 ? WeightAt(index, t) : source_weights[row].ValueAt(t);
+  }
+
+  /// Object `index`'s update process, assembled from its row and the side
+  /// tables (valid while this workload lives).
+  UpdateProcess process(ObjectIndex index) const {
+    const ObjectSpec& spec = objects[index];
+    UpdateProcess process;
+    process.kind = spec.process;
+    process.rate = spec.lambda;
+    process.step = spec.step;
+    if (spec.process == ProcessKind::kRegimeSwitching) {
+      process.regime = regime_switches[spec.process_param];
+    } else if (spec.process == ProcessKind::kTrace) {
+      process = UpdateProcess::Trace(*traces, spec.process_param);
+    }
+    return process;
   }
 };
 
@@ -233,18 +314,15 @@ struct WorkloadConfig {
 /// identical per-object RNG seeds.
 Result<Workload> MakeWorkload(const WorkloadConfig& config);
 
-/// Deep copy of one object spec: scalar fields are copied and the owned
-/// polymorphic members (process, weight, source_weight) are Clone()d, so
-/// the copy shares no mutable state with the original.
-ObjectSpec CloneObjectSpec(const ObjectSpec& spec);
-
-/// Deep copy of a whole workload. The clone replays exactly the update
-/// stream the original would (same specs, same per-object RNG seeds, same
-/// process cursor state), yet owns every byte of it — running or mutating
-/// the clone leaves the original untouched. This is what lets one
-/// hand-constructed or trace-derived workload (e.g. MakeBuoyWorkload) fan
-/// out across concurrent runner jobs: each job runs a private clone
-/// (RunExperimentsOnWorkload in exp/runner.h).
+/// Copy of a whole workload: the rows, the interest map and the side tables
+/// are copied, the immutable trace table is shared, and the read streams
+/// (the only state a run advances) are deep-copied. The clone replays
+/// exactly the update stream the original would (same rows, same
+/// per-object RNG seeds), and running or mutating it leaves the original
+/// untouched. This is what lets one hand-constructed or trace-derived
+/// workload (e.g. MakeBuoyWorkload) fan out across concurrent runner jobs:
+/// each job runs a private clone (RunExperimentsOnWorkload in
+/// exp/runner.h).
 Workload CloneWorkload(const Workload& workload);
 
 }  // namespace besync

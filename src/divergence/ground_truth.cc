@@ -11,27 +11,20 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
     : workload_(workload), metric_(metric), use_source_weights_(use_source_weights) {
   BESYNC_CHECK(workload != nullptr);
   BESYNC_CHECK(metric != nullptr);
-  replica_base_.reserve(workload->objects.size());
-  size_t base = 0;
-  for (const ObjectSpec& spec : workload->objects) {
-    replica_base_.push_back(base);
-    BESYNC_CHECK_GE(spec.num_replicas(), 1);
-    base += static_cast<size_t>(spec.num_replicas());
-  }
-  num_entries_ = base;
+  BESYNC_CHECK_EQ(workload->replica_offsets.size(), workload->objects.size() + 1)
+      << "interest map out of step with the objects (use Workload::AddObject)";
+  num_entries_ = workload->replica_caches.size();
   if (arena != nullptr) {
     entries_ = arena->AllocateArray<Entry>(num_entries_);
   } else {
     owned_entries_.resize(num_entries_);
     entries_ = owned_entries_.data();
   }
-  for (size_t i = 0; i < workload->objects.size(); ++i) {
-    const ObjectSpec& spec = workload->objects[i];
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      BESYNC_CHECK_GE(spec.caches[r], 0);
-      BESYNC_CHECK_LT(spec.caches[r], workload->num_caches);
-      entries_[replica_base_[i] + r].cache_id = spec.caches[r];
-    }
+  for (size_t k = 0; k < num_entries_; ++k) {
+    const int32_t cache_id = workload->replica_caches[k];
+    BESYNC_CHECK_GE(cache_id, 0);
+    BESYNC_CHECK_LT(cache_id, workload->num_caches);
+    entries_[k].cache_id = cache_id;
   }
   const size_t caches = static_cast<size_t>(workload->num_caches);
   weighted_sum_.assign(caches, 0.0);
@@ -42,26 +35,27 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
 }
 
 size_t GroundTruth::ReplicaEntry(ObjectIndex index, int32_t cache_id) const {
-  const int slot = workload_->objects[index].replica_slot(cache_id);
+  const int slot = workload_->replica_slot(index, cache_id);
   BESYNC_CHECK_GE(slot, 0) << "object " << index << " has no replica at cache "
                            << cache_id;
-  return replica_base_[index] + static_cast<size_t>(slot);
+  return static_cast<size_t>(workload_->replica_offsets[index] + slot);
 }
 
-const Fluctuation* GroundTruth::WeightFn(const ObjectSpec& spec) const {
-  return use_source_weights_ && spec.source_weight ? spec.source_weight.get()
-                                                   : spec.weight.get();
+double GroundTruth::WeightAt(ObjectIndex index, double t) const {
+  return use_source_weights_ ? workload_->SourceWeightAt(index, t)
+                             : workload_->WeightAt(index, t);
 }
 
 void GroundTruth::Initialize(double t) {
+  const int64_t* offsets = workload_->replica_offsets.data();
   for (size_t i = 0; i < workload_->objects.size(); ++i) {
-    const ObjectSpec& spec = workload_->objects[i];
-    const double weight = WeightFn(spec)->ValueAt(t);
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      Entry& entry = entries_[replica_base_[i] + r];
-      entry.source_value = spec.initial_value;
+    const double initial = workload_->objects[i].initial_value;
+    const double weight = WeightAt(static_cast<ObjectIndex>(i), t);
+    for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      Entry& entry = entries_[k];
+      entry.source_value = initial;
       entry.source_version = 0;
-      entry.cached_value = spec.initial_value;
+      entry.cached_value = initial;
       entry.cached_version = 0;
       entry.divergence = 0.0;
       entry.weight = weight;
@@ -111,9 +105,9 @@ void GroundTruth::RebuildSums() {
 
 void GroundTruth::OnSourceUpdate(ObjectIndex index, double t, double value,
                                  int64_t version) {
-  const int replicas = workload_->objects[index].num_replicas();
-  for (int r = 0; r < replicas; ++r) {
-    Entry& entry = entries_[replica_base_[index] + r];
+  const int64_t end = workload_->replica_offsets[index + 1];
+  for (int64_t k = workload_->replica_offsets[index]; k < end; ++k) {
+    Entry& entry = entries_[k];
     entry.source_value = value;
     entry.source_version = version;
     AdvanceCache(entry.cache_id, t);
@@ -139,17 +133,15 @@ void GroundTruth::OnCacheApply(ObjectIndex index, int32_t cache_id, double t,
 
 void GroundTruth::OnCacheApply(ObjectIndex index, double t, double value,
                                int64_t version) {
-  OnCacheApply(index, workload_->objects[index].caches.front(), t, value, version);
+  OnCacheApply(index, workload_->caches(index).front(), t, value, version);
 }
 
 void GroundTruth::RefreshWeights(double t) {
   AdvanceTo(t);
+  const int64_t* offsets = workload_->replica_offsets.data();
   for (size_t i = 0; i < workload_->objects.size(); ++i) {
-    const ObjectSpec& spec = workload_->objects[i];
-    const double weight = WeightFn(spec)->ValueAt(t);
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      entries_[replica_base_[i] + r].weight = weight;
-    }
+    const double weight = WeightAt(static_cast<ObjectIndex>(i), t);
+    for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) entries_[k].weight = weight;
   }
   RebuildSums();
 }

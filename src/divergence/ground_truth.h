@@ -98,10 +98,10 @@ class GroundTruth {
   // single-cache topologies, where every object has one replica).
 
   double cached_value(ObjectIndex index) const {
-    return entries_[replica_base_[index]].cached_value;
+    return entries_[workload_->replica_offsets[index]].cached_value;
   }
   int64_t cached_version(ObjectIndex index) const {
-    return entries_[replica_base_[index]].cached_version;
+    return entries_[workload_->replica_offsets[index]].cached_version;
   }
   double cached_value(ObjectIndex index, int32_t cache_id) const {
     return entries_[ReplicaEntry(index, cache_id)].cached_value;
@@ -110,13 +110,13 @@ class GroundTruth {
     return entries_[ReplicaEntry(index, cache_id)].cached_version;
   }
   double source_value(ObjectIndex index) const {
-    return entries_[replica_base_[index]].source_value;
+    return entries_[workload_->replica_offsets[index]].source_value;
   }
   int64_t source_version(ObjectIndex index) const {
-    return entries_[replica_base_[index]].source_version;
+    return entries_[workload_->replica_offsets[index]].source_version;
   }
   double current_divergence(ObjectIndex index) const {
-    return entries_[replica_base_[index]].divergence;
+    return entries_[workload_->replica_offsets[index]].divergence;
   }
   double current_divergence(ObjectIndex index, int32_t cache_id) const {
     return entries_[ReplicaEntry(index, cache_id)].divergence;
@@ -154,19 +154,18 @@ class GroundTruth {
   void SetDivergence(Entry* entry, double divergence);
   /// Rebuilds the running sums from scratch (bounds accumulation error).
   void RebuildSums();
-  const Fluctuation* WeightFn(const ObjectSpec& spec) const;
+  /// Weight of object `index` at `t` under this view's weighting scheme.
+  double WeightAt(ObjectIndex index, double t) const;
 
   const Workload* workload_;
   const DivergenceMetric* metric_;
   bool use_source_weights_;
-  /// One entry per (object, cache) replica; an object's replicas are
-  /// contiguous, in the order of its ObjectSpec::caches list. Points into
-  /// the constructor's arena when one was given, else into owned_entries_.
+  /// One entry per (object, cache) replica, at the workload's replica
+  /// index replica_offsets[i] + r. Points into the constructor's arena when
+  /// one was given, else into owned_entries_.
   Entry* entries_ = nullptr;
   size_t num_entries_ = 0;
   std::vector<Entry> owned_entries_;
-  /// First entry of each object's replica range (size = #objects).
-  std::vector<size_t> replica_base_;
   // Running sums / integrals, one slot per cache.
   std::vector<double> weighted_sum_;    // Σ D * W at current time, per cache
   std::vector<double> unweighted_sum_;  // Σ D at current time, per cache

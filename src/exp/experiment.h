@@ -104,8 +104,10 @@ struct ExperimentConfig {
 /// Builds the scheduler named by `config` (bandwidth knobs applied).
 std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 
-/// Runs the configured scheduler on `workload` (which is Reset and may be
-/// reused across calls — update streams are identical across schedulers).
+/// Runs the configured scheduler on `workload`. A run writes nothing of the
+/// workload but the cursors of its `read_streams` (rewound at run start),
+/// so it may be reused across calls — update streams are identical across
+/// schedulers.
 Result<RunResult> RunExperimentOnWorkload(const ExperimentConfig& config,
                                           const Workload* workload);
 

@@ -17,12 +17,14 @@ namespace besync {
 /// workload (in which case `config.workload` is ignored as a generator and
 /// serves only as JSON/tables metadata).
 ///
-/// WORKLOAD-SHARING HAZARD: a `Workload` must never be *shared* between
-/// concurrently running jobs. RunExperimentOnWorkload mutates state owned
-/// by the workload through `ObjectSpec::process` (`Harness::Run` calls
-/// `process->Reset()` on every object), so two jobs running over the same
-/// instance race and corrupt both runs. The runner therefore offers two
-/// safe paths, each giving every job a workload it exclusively owns:
+/// WORKLOAD-SHARING HAZARD: a run reads its workload's objects, interest map
+/// and side tables without writing them (per-object run state, trace
+/// cursors included, lives in the Harness), but `Workload::read_streams`
+/// still carry cursor state that a run advances. A workload with read
+/// streams must therefore never be *shared* between concurrently running
+/// jobs: two jobs over the same instance would race on those cursors. The
+/// runner offers two safe paths, each giving every job a workload it
+/// exclusively owns:
 ///
 ///  1. Config rebuild (RunExperiments): each job builds its own workload
 ///     from `config.workload`. MakeWorkload is deterministic given its
@@ -32,8 +34,9 @@ namespace besync {
 ///     identical as their configs.
 ///
 ///  2. Clone per job (RunExperimentsOnWorkload): each job receives a
-///     private CloneWorkload deep copy of one caller-supplied base
-///     workload. Correct — and the only option — for trace-derived or
+///     private CloneWorkload copy of one caller-supplied base workload
+///     (rows and side tables copied, trace table shared, read streams
+///     deep-copied). Correct — and the only option — for trace-derived or
 ///     hand-constructed workloads that no WorkloadConfig can rebuild
 ///     (e.g. MakeBuoyWorkload); also cheaper when cloning is cheaper than
 ///     rebuilding. The clones are exact copies, so every job observes the
@@ -82,7 +85,7 @@ std::vector<JobResult> RunExperiments(const std::vector<ExperimentJob>& jobs,
                                       const RunnerOptions& options = RunnerOptions());
 
 /// Clone-per-job variant: runs every job against a private CloneWorkload
-/// deep copy of `base_workload` instead of rebuilding from
+/// copy of `base_workload` instead of rebuilding from
 /// `config.workload` (hazard path 2 above). Use for trace-derived or
 /// hand-constructed workloads. The runner stamps each reported config's
 /// `workload.num_caches` from the base workload so JSON/table grid

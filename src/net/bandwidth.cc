@@ -6,15 +6,10 @@
 
 namespace besync {
 
-BandwidthModel::BandwidthModel(std::unique_ptr<Fluctuation> signal)
-    : signal_(std::move(signal)) {
-  BESYNC_CHECK(signal_ != nullptr);
-}
-
 int64_t BandwidthModel::BudgetForTick(double tick_start, double tick_len) {
   BESYNC_CHECK_GT(tick_len, 0.0);
   // Midpoint evaluation of the rate over the tick.
-  const double rate = signal_->ValueAt(tick_start + 0.5 * tick_len);
+  const double rate = signal_.ValueAt(tick_start + 0.5 * tick_len);
   credit_ += rate * tick_len;
   const double whole = std::floor(credit_);
   credit_ -= whole;

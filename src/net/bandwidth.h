@@ -1,7 +1,7 @@
 #ifndef BESYNC_NET_BANDWIDTH_H_
 #define BESYNC_NET_BANDWIDTH_H_
 
-#include <memory>
+#include <cstdint>
 
 #include "util/fluctuation.h"
 
@@ -13,20 +13,20 @@ namespace besync {
 /// other tick rather than zero forever.
 class BandwidthModel {
  public:
-  explicit BandwidthModel(std::unique_ptr<Fluctuation> signal);
+  explicit BandwidthModel(const Fluctuation& signal) : signal_(signal) {}
 
   /// Integer message budget for the tick [tick_start, tick_start + tick_len).
   /// Must be called with non-overlapping, forward-moving ticks.
   int64_t BudgetForTick(double tick_start, double tick_len);
 
   /// Instantaneous bandwidth at time t (messages/second).
-  double RateAt(double t) const { return signal_->ValueAt(t); }
+  double RateAt(double t) const { return signal_.ValueAt(t); }
 
   /// Long-run average bandwidth (messages/second).
-  double average() const { return signal_->average(); }
+  double average() const { return signal_.average(); }
 
  private:
-  std::unique_ptr<Fluctuation> signal_;
+  Fluctuation signal_;
   double credit_ = 0.0;
 };
 

@@ -34,7 +34,7 @@ void ReadPath::Initialize(Harness* harness, int num_caches,
   // can read — its replicas).
   std::vector<std::vector<ObjectIndex>> members(static_cast<size_t>(num_caches));
   for (size_t i = 0; i < workload.objects.size(); ++i) {
-    for (int32_t cache : workload.objects[i].caches) {
+    for (int32_t cache : workload.caches(static_cast<ObjectIndex>(i))) {
       members[cache].push_back(static_cast<ObjectIndex>(i));
     }
   }

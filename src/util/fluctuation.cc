@@ -1,61 +1,51 @@
 #include "util/fluctuation.h"
 
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace besync {
 
-ConstantFluctuation::ConstantFluctuation(double value) : value_(value) {
+Fluctuation Fluctuation::Constant(double value) {
   BESYNC_CHECK_GE(value, 0.0);
+  Fluctuation fluctuation;
+  fluctuation.base = value;
+  return fluctuation;
 }
 
-double ConstantFluctuation::ValueAt(double /*t*/) const { return value_; }
-
-SineFluctuation::SineFluctuation(double base, double relative_amplitude, double period,
-                                 double phase)
-    : base_(base),
-      relative_amplitude_(relative_amplitude),
-      period_(period),
-      phase_(phase) {
+Fluctuation Fluctuation::Sine(double base, double amplitude, double period,
+                              double phase) {
   BESYNC_CHECK_GE(base, 0.0);
-  BESYNC_CHECK_GE(relative_amplitude, 0.0);
-  BESYNC_CHECK_LT(relative_amplitude, 1.0);
+  BESYNC_CHECK_GE(amplitude, 0.0);
+  BESYNC_CHECK_LT(amplitude, 1.0);
   BESYNC_CHECK_GT(period, 0.0);
+  return Fluctuation{base, amplitude, period, phase};
 }
 
-double SineFluctuation::ValueAt(double t) const {
-  return base_ * (1.0 + relative_amplitude_ * std::sin(2.0 * M_PI * t / period_ + phase_));
-}
-
-std::unique_ptr<Fluctuation> MakeBandwidthFluctuation(double average,
-                                                      double max_change_rate, Rng* rng) {
+Fluctuation MakeBandwidthFluctuation(double average, double max_change_rate, Rng* rng) {
   BESYNC_CHECK_GE(average, 0.0);
   BESYNC_CHECK_GE(max_change_rate, 0.0);
   if (max_change_rate <= 0.0 || average <= 0.0) {
-    return std::make_unique<ConstantFluctuation>(average);
+    return Fluctuation::Constant(average);
   }
   constexpr double kAmplitude = 0.5;
   const double period = 2.0 * M_PI * kAmplitude / max_change_rate;
   const double phase = rng != nullptr ? rng->Uniform(0.0, 2.0 * M_PI) : 0.0;
-  return std::make_unique<SineFluctuation>(average, kAmplitude, period, phase);
+  return Fluctuation::Sine(average, kAmplitude, period, phase);
 }
 
-std::unique_ptr<Fluctuation> MakeWeightFluctuation(double base, double max_amplitude,
-                                                   double min_period, double max_period,
-                                                   Rng* rng) {
+Fluctuation MakeWeightFluctuation(double base, double max_amplitude, double min_period,
+                                  double max_period, Rng* rng) {
   BESYNC_CHECK_GE(base, 0.0);
   BESYNC_CHECK_GE(max_amplitude, 0.0);
   BESYNC_CHECK_LT(max_amplitude, 1.0);
   if (max_amplitude <= 0.0 || rng == nullptr) {
-    return std::make_unique<ConstantFluctuation>(base);
+    return Fluctuation::Constant(base);
   }
   BESYNC_CHECK_GT(min_period, 0.0);
   BESYNC_CHECK_GE(max_period, min_period);
   const double amplitude = rng->Uniform(0.0, max_amplitude);
   const double period = rng->Uniform(min_period, max_period);
   const double phase = rng->Uniform(0.0, 2.0 * M_PI);
-  return std::make_unique<SineFluctuation>(base, amplitude, period, phase);
+  return Fluctuation::Sine(base, amplitude, period, phase);
 }
 
 }  // namespace besync

@@ -1,7 +1,8 @@
 #ifndef BESYNC_UTIL_FLUCTUATION_H_
 #define BESYNC_UTIL_FLUCTUATION_H_
 
-#include <memory>
+#include <cmath>
+#include <type_traits>
 
 #include "util/random.h"
 
@@ -12,58 +13,32 @@ namespace besync {
 /// source-side bandwidth fluctuate over time following a sine wave pattern"
 /// and let "weights vary over time following sine-wave patterns with
 /// randomly-assigned amplitudes and periods" (Section 6).
-class Fluctuation {
- public:
-  virtual ~Fluctuation() = default;
+///
+/// One plain value: base * (1 + amplitude * sin(2*pi*t/period + phase)),
+/// with amplitude in [0, 1) so the signal stays positive. Amplitude 0 is the
+/// constant signal `base` (the paper's mB = 0 case).
+struct Fluctuation {
+  double base = 0.0;
+  double amplitude = 0.0;
+  double period = 1.0;
+  double phase = 0.0;
+
+  static Fluctuation Constant(double value);
+  static Fluctuation Sine(double base, double amplitude, double period, double phase);
+
+  bool constant() const { return amplitude == 0.0; }
 
   /// Value at simulated time `t` (seconds). Always >= 0.
-  virtual double ValueAt(double t) const = 0;
+  double ValueAt(double t) const {
+    if (constant()) return base;
+    return base * (1.0 + amplitude * std::sin(2.0 * M_PI * t / period + phase));
+  }
 
   /// Time average of the signal (the paper's B_S / B_C / base-weight knobs).
-  virtual double average() const = 0;
-
-  /// Deep copy: an independent instance that returns the same ValueAt(t)
-  /// for every t. Required so whole workloads can be cloned for concurrent
-  /// runs (CloneWorkload in data/workload.h).
-  virtual std::unique_ptr<Fluctuation> Clone() const = 0;
+  double average() const { return base; }
 };
 
-/// Constant signal (the paper's mB = 0 case).
-class ConstantFluctuation : public Fluctuation {
- public:
-  explicit ConstantFluctuation(double value);
-
-  double ValueAt(double t) const override;
-  double average() const override { return value_; }
-  std::unique_ptr<Fluctuation> Clone() const override {
-    return std::make_unique<ConstantFluctuation>(value_);
-  }
-
- private:
-  double value_;
-};
-
-/// base * (1 + amplitude * sin(2*pi*t/period + phase)), with amplitude in
-/// [0, 1) so the signal stays positive.
-class SineFluctuation : public Fluctuation {
- public:
-  SineFluctuation(double base, double relative_amplitude, double period, double phase);
-
-  double ValueAt(double t) const override;
-  double average() const override { return base_; }
-  std::unique_ptr<Fluctuation> Clone() const override {
-    return std::make_unique<SineFluctuation>(base_, relative_amplitude_, period_, phase_);
-  }
-
-  double relative_amplitude() const { return relative_amplitude_; }
-  double period() const { return period_; }
-
- private:
-  double base_;
-  double relative_amplitude_;
-  double period_;
-  double phase_;
-};
+static_assert(std::is_trivially_copyable_v<Fluctuation>);
 
 /// Builds the paper's bandwidth model: average bandwidth `average` with
 /// maximum relative rate of change `max_change_rate` (the parameter mB;
@@ -75,18 +50,15 @@ class SineFluctuation : public Fluctuation {
 /// change rate is max|B'(t)|/B = 2*pi*a/P. We fix a = 0.5 and solve for the
 /// period P = 2*pi*a/mB, drawing a random phase so multiple links are not
 /// synchronized.
-std::unique_ptr<Fluctuation> MakeBandwidthFluctuation(double average,
-                                                      double max_change_rate,
-                                                      Rng* rng);
+Fluctuation MakeBandwidthFluctuation(double average, double max_change_rate, Rng* rng);
 
 /// Builds a randomly-parameterized weight fluctuation: base weight `base`,
 /// random relative amplitude in [0, max_amplitude] and random period in
 /// [min_period, max_period] (Section 6: weights "fluctuate over time
 /// following sine-wave patterns with randomly-assigned amplitudes and
 /// periods"). With max_amplitude = 0 the weight is constant.
-std::unique_ptr<Fluctuation> MakeWeightFluctuation(double base, double max_amplitude,
-                                                   double min_period, double max_period,
-                                                   Rng* rng);
+Fluctuation MakeWeightFluctuation(double base, double max_amplitude, double min_period,
+                                  double max_period, Rng* rng);
 
 }  // namespace besync
 

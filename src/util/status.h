@@ -1,9 +1,11 @@
 #ifndef BESYNC_UTIL_STATUS_H_
 #define BESYNC_UTIL_STATUS_H_
 
+#include <charconv>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace besync {
@@ -131,7 +133,16 @@ class Status {
   }
   template <typename T>
   static void AppendToMessage(std::string* message, const T& part) {
-    message->append(std::to_string(part));
+    if constexpr (std::is_floating_point_v<T>) {
+      // Shortest form that reads back to the same value: -5 as "-5", 1e-7
+      // as "1e-07" (std::to_string would print "-5.000000", "0.000000").
+      char buffer[32];
+      const std::to_chars_result end =
+          std::to_chars(buffer, buffer + sizeof(buffer), part);
+      message->append(buffer, end.ptr);
+    } else {
+      message->append(std::to_string(part));
+    }
   }
 
   void CopyFrom(const Status& other) {

@@ -80,7 +80,7 @@ TEST(WeightRefreshDeadlineTest, SubTickIntervalMatchesTickAlignedInterval) {
 
 Link MakeConstantLink(double bandwidth) {
   return Link("test", std::make_unique<BandwidthModel>(
-                          std::make_unique<ConstantFluctuation>(bandwidth)));
+                          Fluctuation::Constant(bandwidth)));
 }
 
 TEST(LinkUtilizationTest, DeficitCarryoverIsNotDoubleCounted) {

@@ -21,7 +21,7 @@ namespace {
 std::unique_ptr<Link> MakeLink(double rate) {
   return std::make_unique<Link>(
       "test", std::make_unique<BandwidthModel>(
-                  std::make_unique<ConstantFluctuation>(rate)));
+                  Fluctuation::Constant(rate)));
 }
 
 /// Agent-level fixture: a harness that is never Run; object state is driven
@@ -58,7 +58,7 @@ class SourceAgentTest : public ::testing::Test {
     object.state.value += delta;
     ++object.state.version;
     object.state.last_update_time = t;
-    object.tracker().OnUpdate(t, object.state.value, object.state.version);
+    harness_->tracker(i).OnUpdate(t, object.state.value, object.state.version);
     agent->OnObjectUpdate(i, t);
   }
 
@@ -171,7 +171,7 @@ TEST_F(SourceAgentTest, RefreshResetsTrackerAndSecondSendFindsNothing) {
   Update(&agent, 0, 1.0, 5.0);
   BeginTick(4.0);
   EXPECT_EQ(agent.SendRefreshes(4.0, source_link_.get(), cache_link_.get()), 1);
-  EXPECT_DOUBLE_EQ(harness_->objects()[0].tracker().current_divergence(), 0.0);
+  EXPECT_DOUBLE_EQ(harness_->tracker(0).current_divergence(), 0.0);
   BeginTick(5.0);
   EXPECT_EQ(agent.SendRefreshes(5.0, source_link_.get(), cache_link_.get()), 0);
 }

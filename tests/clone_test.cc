@@ -1,17 +1,23 @@
-// Deep-copyable workloads: CloneWorkload must (a) reproduce exactly the run
-// a config-rebuilt workload produces, (b) share no mutable state with the
+// Copyable workloads: CloneWorkload must (a) reproduce exactly the run a
+// config-rebuilt workload produces, (b) share no mutable state with the
 // original, and (c) let one trace-derived workload fan out across the
-// parallel runner with byte-identical JSON at any thread count.
+// parallel runner with byte-identical JSON at any thread count. A run writes
+// nothing of a workload without read streams, so one instance also reruns
+// byte-identically.
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "data/buoy_trace.h"
 #include "data/workload.h"
 #include "exp/experiment.h"
 #include "exp/runner.h"
+#include "stats_fields.h"
 #include "util/fluctuation.h"
 
 namespace besync {
@@ -24,7 +30,7 @@ WorkloadConfig SmallSyntheticConfig() {
   config.rate_distribution = RateDistribution::kHalfSlowHalfFast;
   config.weight_scheme = WeightScheme::kHalfHeavy;
   config.cost_scheme = CostScheme::kHalfLarge;
-  config.weight_fluctuation_amplitude = 0.4;  // exercises SineFluctuation::Clone
+  config.weight_fluctuation_amplitude = 0.4;  // fills the weight_waves table
   config.seed = 42;
   return config;
 }
@@ -37,61 +43,9 @@ BuoyTraceConfig SmallBuoyConfig() {
   return config;
 }
 
-// Every UpdateProcess subclass: the clone, fed the same RNG stream, emits
-// exactly the update stream the original would have emitted — including
-// mid-replay cursor state for TraceProcess.
-TEST(CloneTest, ProcessClonesReplayIdenticalStreams) {
-  std::vector<std::unique_ptr<UpdateProcess>> processes;
-  processes.push_back(std::make_unique<PoissonRandomWalkProcess>(0.7, 2.0));
-  processes.push_back(std::make_unique<BernoulliRandomWalkProcess>(0.3, 1.5));
-  processes.push_back(std::make_unique<RegimeSwitchingProcess>(0.1, 2.0, 50.0));
-  processes.push_back(std::make_unique<DriftProcess>(0.25, 1.0));
-  processes.push_back(std::make_unique<TraceProcess>(std::vector<TracePoint>{
-      {1.0, 5.0}, {2.5, 6.0}, {4.0, 4.5}, {7.0, 5.5}}));
-
-  for (const auto& original : processes) {
-    // Advance the original a little so cursor state (TraceProcess) is
-    // mid-stream when cloned.
-    Rng warm(9);
-    double t = original->NextUpdateTime(0.0, &warm);
-    double value = 0.0;
-    if (t < std::numeric_limits<double>::infinity()) {
-      value = original->ApplyUpdate(value, &warm);
-    }
-
-    const std::unique_ptr<UpdateProcess> clone = original->Clone();
-    EXPECT_EQ(clone->rate(), original->rate());
-
-    Rng rng_a(123);
-    Rng rng_b(123);
-    double value_a = value;
-    double value_b = value;
-    double now = t;
-    for (int i = 0; i < 16; ++i) {
-      const double next_a = original->NextUpdateTime(now, &rng_a);
-      const double next_b = clone->NextUpdateTime(now, &rng_b);
-      EXPECT_EQ(next_a, next_b);
-      if (next_a == std::numeric_limits<double>::infinity()) break;
-      value_a = original->ApplyUpdate(value_a, &rng_a);
-      value_b = clone->ApplyUpdate(value_b, &rng_b);
-      EXPECT_EQ(value_a, value_b);
-      now = next_a;
-    }
-  }
-}
-
-TEST(CloneTest, FluctuationClonesMatchPointwise) {
-  const ConstantFluctuation constant(3.5);
-  const SineFluctuation sine(2.0, 0.5, 300.0, 1.25);
-  const Fluctuation* originals[] = {&constant, &sine};
-  for (const Fluctuation* original : originals) {
-    const std::unique_ptr<Fluctuation> clone = original->Clone();
-    EXPECT_EQ(clone->average(), original->average());
-    for (double t : {0.0, 17.3, 150.0, 299.9, 1234.5}) {
-      EXPECT_EQ(clone->ValueAt(t), original->ValueAt(t));
-    }
-  }
-}
+// Rows and signals are plain values: copying one copies all of it.
+static_assert(std::is_trivially_copyable_v<ObjectSpec>);
+static_assert(std::is_trivially_copyable_v<Fluctuation>);
 
 TEST(CloneTest, CloneMatchesOriginalSpecs) {
   const Workload original =
@@ -102,25 +56,28 @@ TEST(CloneTest, CloneMatchesOriginalSpecs) {
   EXPECT_EQ(clone.objects_per_source, original.objects_per_source);
   EXPECT_EQ(clone.num_caches, original.num_caches);
   EXPECT_EQ(clone.has_fluctuating_weights, original.has_fluctuating_weights);
+  EXPECT_EQ(clone.replica_offsets, original.replica_offsets);
+  EXPECT_EQ(clone.replica_caches, original.replica_caches);
+  ASSERT_EQ(clone.weight_waves.size(), original.weight_waves.size());
   ASSERT_EQ(clone.objects.size(), original.objects.size());
+  // Copies, not views: the clone's tables are its own storage.
+  EXPECT_NE(clone.objects.data(), original.objects.data());
+  EXPECT_NE(clone.weight_waves.data(), original.weight_waves.data());
   for (size_t i = 0; i < original.objects.size(); ++i) {
     const ObjectSpec& a = original.objects[i];
     const ObjectSpec& b = clone.objects[i];
-    EXPECT_EQ(b.index, a.index);
     EXPECT_EQ(b.source_index, a.source_index);
-    EXPECT_EQ(b.caches, a.caches);
+    EXPECT_EQ(b.process, a.process);
     EXPECT_EQ(b.lambda, a.lambda);
+    EXPECT_EQ(b.step, a.step);
+    EXPECT_EQ(b.weight, a.weight);
+    EXPECT_EQ(b.weight_wave, a.weight_wave);
     EXPECT_EQ(b.initial_value, a.initial_value);
     EXPECT_EQ(b.max_divergence_rate, a.max_divergence_rate);
     EXPECT_EQ(b.refresh_cost, a.refresh_cost);
     EXPECT_EQ(b.rng_seed, a.rng_seed);
-    // Deep, not shallow: the owned polymorphic members are fresh objects.
-    ASSERT_NE(b.process, nullptr);
-    ASSERT_NE(b.weight, nullptr);
-    EXPECT_NE(b.process.get(), a.process.get());
-    EXPECT_NE(b.weight.get(), a.weight.get());
-    EXPECT_EQ(b.process->rate(), a.process->rate());
-    EXPECT_EQ(b.weight->ValueAt(12.5), a.weight->ValueAt(12.5));
+    const ObjectIndex index = static_cast<ObjectIndex>(i);
+    EXPECT_EQ(clone.WeightAt(index, 12.5), original.WeightAt(index, 12.5));
   }
 }
 
@@ -157,52 +114,81 @@ TEST(CloneTest, CloneRunEqualsRebuildRun) {
   }
 }
 
-// Mutating a clone (running it, touching its specs) must leave the original
-// untouched — the property that makes concurrent fan-out safe.
+// Mutating a clone (touching its rows, interest map and side tables) must
+// leave the original untouched — the property that makes concurrent fan-out
+// safe. The trace table is immutable, so clones share it.
 TEST(CloneTest, MutatingCloneLeavesOriginalUntouched) {
   const Workload original =
       std::move(MakeBuoyWorkload(SmallBuoyConfig())).ValueOrDie();
   Workload clone = CloneWorkload(original);
+  ASSERT_NE(original.traces, nullptr);
+  EXPECT_EQ(clone.traces.get(), original.traces.get());
 
-  // Advance every clone process cursor past several trace points.
-  Rng rng(5);
-  for (ObjectSpec& spec : clone.objects) {
-    double now = 0.0;
-    for (int i = 0; i < 3; ++i) {
-      now = spec.process->NextUpdateTime(now, &rng);
-      spec.process->ApplyUpdate(0.0, &rng);
-    }
-    spec.caches.push_back(99);  // structural mutation
-    spec.lambda = -1.0;
+  for (ObjectSpec& spec : clone.objects) spec.lambda = -1.0;
+  clone.replica_caches.push_back(99);  // structural mutation
+  clone.SetWeight(0, Fluctuation::Sine(1.0, 0.5, 10.0, 0.0));
+
+  for (ObjectIndex i = 0; i < original.total_objects(); ++i) {
+    EXPECT_GE(original.objects[i].lambda, 0.0);
+    EXPECT_EQ(original.num_replicas(i), 1);
+    EXPECT_EQ(original.caches(i).front(), 0);
+    EXPECT_EQ(original.WeightAt(i, 3.0), 1.0);
   }
+  EXPECT_EQ(original.total_replicas(), original.total_objects());
+  EXPECT_TRUE(original.weight_waves.empty());
+}
 
-  // The original still replays from the first trace point, and its specs
-  // are unchanged.
-  Rng rng2(5);
-  for (const ObjectSpec& spec : original.objects) {
-    const auto* trace = static_cast<const TraceProcess*>(spec.process.get());
-    EXPECT_GT(trace->num_points(), 0u);
-    EXPECT_EQ(spec.caches, std::vector<int32_t>{0});
-    EXPECT_GE(spec.lambda, 0.0);
-    // Cursor untouched: the next update is still the earliest trace time.
-    const double first = spec.process->NextUpdateTime(0.0, &rng2);
-    EXPECT_LE(first, SmallBuoyConfig().measurement_interval + 1e-9);
-  }
-
-  // And a run over a fresh clone of the original still matches a run over
-  // the original itself (sequential reuse is safe after Reset).
+// A run only reads its workload: the trace cursors live in the run, so one
+// trace-driven instance run twice in a row, with no clone in between, gives
+// byte-identical results.
+TEST(CloneTest, RerunWithoutCloneIsByteIdentical) {
+  const Workload workload =
+      std::move(MakeBuoyWorkload(SmallBuoyConfig())).ValueOrDie();
   ExperimentConfig config;
   config.harness.tick_length = 60.0;
   config.harness.warmup = 600.0;
   config.harness.measure = 3000.0;
   config.cache_bandwidth_avg = 0.05;
-  Workload fresh = CloneWorkload(original);
-  const Result<RunResult> a = RunExperimentOnWorkload(config, &fresh);
+  const Result<RunResult> a = RunExperimentOnWorkload(config, &workload);
   ASSERT_TRUE(a.ok());
-  Workload fresh2 = CloneWorkload(original);
-  const Result<RunResult> b = RunExperimentOnWorkload(config, &fresh2);
+  const Result<RunResult> b = RunExperimentOnWorkload(config, &workload);
   ASSERT_TRUE(b.ok());
+  EXPECT_GT(a->scheduler.refreshes_sent, 0);
   EXPECT_EQ(a->total_weighted_divergence, b->total_weighted_divergence);
+  EXPECT_EQ(a->per_cache_weighted, b->per_cache_weighted);
+  EXPECT_EQ(a->per_object_weighted, b->per_object_weighted);
+  EXPECT_EQ(a->per_object_unweighted, b->per_object_unweighted);
+  EXPECT_EQ(a->total_replicas, b->total_replicas);
+  EXPECT_EQ(DifferingStatsFields(a->scheduler, b->scheduler),
+            std::vector<std::string>{});
+}
+
+// Without read streams a run writes nothing of its workload, so concurrent
+// runs may share one instance (TSan covers this binary in CI).
+TEST(CloneTest, ConcurrentRunsShareOneWorkload) {
+  const Workload workload =
+      std::move(MakeBuoyWorkload(SmallBuoyConfig())).ValueOrDie();
+  ExperimentConfig config;
+  config.harness.tick_length = 60.0;
+  config.harness.warmup = 600.0;
+  config.harness.measure = 3000.0;
+  config.cache_bandwidth_avg = 0.05;
+  const Result<RunResult> sequential = RunExperimentOnWorkload(config, &workload);
+  ASSERT_TRUE(sequential.ok());
+  std::vector<Result<RunResult>> results(2, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (Result<RunResult>& result : results) {
+    threads.emplace_back([&config, &workload, &result] {
+      result = RunExperimentOnWorkload(config, &workload);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Result<RunResult>& result : results) {
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->total_weighted_divergence, sequential->total_weighted_divergence);
+    EXPECT_EQ(DifferingStatsFields(result->scheduler, sequential->scheduler),
+              std::vector<std::string>{});
+  }
 }
 
 // Clone fan-out across the runner: threads=1 and threads=8 produce

@@ -70,8 +70,8 @@ TEST(AssignConflictingSourceWeightsTest, HalfHeavyPerSource) {
     int total = 0;
     for (const auto& spec : workload.objects) {
       if (spec.source_index != j) continue;
-      ASSERT_NE(spec.source_weight, nullptr);
-      const double w = spec.source_weight->average();
+      ASSERT_GE(spec.source_weight, 0);
+      const double w = workload.source_weights[spec.source_weight].average();
       EXPECT_TRUE(w == 1.0 || w == 10.0);
       heavy += w == 10.0;
       ++total;

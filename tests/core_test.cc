@@ -351,9 +351,9 @@ TEST(HarnessTest, ExtraRefreshPayloadsReachEveryGroundTruthReplica) {
   // MakeRefreshMessage reset the source-side trackers for all three
   // batched objects — they model the cache as holding the shipped version.
   for (ObjectIndex i : {ObjectIndex{0}, ObjectIndex{1}, ObjectIndex{2}}) {
-    EXPECT_GE(harness.object(i).tracker().last_refresh_time(), 5.0) << i;
+    EXPECT_GE(harness.tracker(i).last_refresh_time(), 5.0) << i;
   }
-  EXPECT_LT(harness.object(3).tracker().last_refresh_time(), 0.5);
+  EXPECT_LT(harness.tracker(3).last_refresh_time(), 0.5);
 }
 
 // ------------------------------------- priority-heap growth bound

@@ -5,35 +5,34 @@
 
 #include "data/buoy_trace.h"
 #include "data/update_process.h"
-#include "data/weight.h"
 #include "data/workload.h"
 
 namespace besync {
 namespace {
 
 TEST(PoissonProcessTest, InterArrivalMeanMatchesRate) {
-  PoissonRandomWalkProcess process(2.0);
+  const UpdateProcess process = UpdateProcess::PoissonWalk(2.0);
   Rng rng(1);
   double t = 0.0;
   const int kEvents = 50000;
-  for (int i = 0; i < kEvents; ++i) t = process.NextUpdateTime(t, &rng);
+  for (int i = 0; i < kEvents; ++i) t = process.NextUpdateTime(t, nullptr, &rng);
   EXPECT_NEAR(t / kEvents, 0.5, 0.01);  // mean gap = 1/lambda
-  EXPECT_DOUBLE_EQ(process.rate(), 2.0);
+  EXPECT_DOUBLE_EQ(process.rate, 2.0);
 }
 
 TEST(PoissonProcessTest, ZeroRateNeverFires) {
-  PoissonRandomWalkProcess process(0.0);
+  const UpdateProcess process = UpdateProcess::PoissonWalk(0.0);
   Rng rng(1);
-  EXPECT_TRUE(std::isinf(process.NextUpdateTime(0.0, &rng)));
+  EXPECT_TRUE(std::isinf(process.NextUpdateTime(0.0, nullptr, &rng)));
 }
 
 TEST(PoissonProcessTest, RandomWalkStepsAreUnit) {
-  PoissonRandomWalkProcess process(1.0);
+  const UpdateProcess process = UpdateProcess::PoissonWalk(1.0);
   Rng rng(2);
   double value = 0.0;
   int ups = 0;
   for (int i = 0; i < 10000; ++i) {
-    const double next = process.ApplyUpdate(value, &rng);
+    const double next = process.ApplyUpdate(value, nullptr, &rng);
     EXPECT_DOUBLE_EQ(std::abs(next - value), 1.0);
     ups += next > value;
     value = next;
@@ -42,67 +41,72 @@ TEST(PoissonProcessTest, RandomWalkStepsAreUnit) {
 }
 
 TEST(BernoulliProcessTest, UpdatesOnIntegerSeconds) {
-  BernoulliRandomWalkProcess process(0.5);
+  const UpdateProcess process = UpdateProcess::BernoulliWalk(0.5);
   Rng rng(3);
   double t = 0.3;
   for (int i = 0; i < 1000; ++i) {
-    t = process.NextUpdateTime(t, &rng);
+    t = process.NextUpdateTime(t, nullptr, &rng);
     EXPECT_DOUBLE_EQ(t, std::floor(t));  // integer times only
   }
 }
 
 TEST(BernoulliProcessTest, ProbabilityOneFiresEverySecond) {
-  BernoulliRandomWalkProcess process(1.0);
+  const UpdateProcess process = UpdateProcess::BernoulliWalk(1.0);
   Rng rng(4);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, &rng), 1.0);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(1.0, &rng), 2.0);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(1.5, &rng), 2.0);
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, nullptr, &rng), 1.0);
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(1.0, nullptr, &rng), 2.0);
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(1.5, nullptr, &rng), 2.0);
 }
 
 TEST(BernoulliProcessTest, LongRunRateMatchesProbability) {
   const double p = 0.2;
-  BernoulliRandomWalkProcess process(p);
+  const UpdateProcess process = UpdateProcess::BernoulliWalk(p);
   Rng rng(5);
   double t = 0.0;
   int count = 0;
   while (t < 100000.0) {
-    t = process.NextUpdateTime(t, &rng);
+    t = process.NextUpdateTime(t, nullptr, &rng);
     if (t < 100000.0) ++count;
   }
   EXPECT_NEAR(count / 100000.0, p, 0.01);
 }
 
 TEST(TraceProcessTest, ReplaysPointsInOrder) {
-  TraceProcess process({{1.0, 10.0}, {2.0, 20.0}, {4.0, 40.0}});
+  TraceTable table;
+  table.Add({{0.5, 5.0}});  // another object's trace, ahead in the table
+  const int32_t k = table.Add({{1.0, 10.0}, {2.0, 20.0}, {4.0, 40.0}});
+  const UpdateProcess process = UpdateProcess::Trace(table, k);
   Rng rng(1);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, &rng), 1.0);
-  EXPECT_DOUBLE_EQ(process.ApplyUpdate(0.0, &rng), 10.0);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(1.0, &rng), 2.0);
-  EXPECT_DOUBLE_EQ(process.ApplyUpdate(10.0, &rng), 20.0);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(2.0, &rng), 4.0);
-  EXPECT_DOUBLE_EQ(process.ApplyUpdate(20.0, &rng), 40.0);
-  EXPECT_TRUE(std::isinf(process.NextUpdateTime(4.0, &rng)));
+  uint32_t cursor = 0;
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, &cursor, &rng), 1.0);
+  EXPECT_DOUBLE_EQ(process.ApplyUpdate(0.0, &cursor, &rng), 10.0);
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(1.0, &cursor, &rng), 2.0);
+  EXPECT_DOUBLE_EQ(process.ApplyUpdate(10.0, &cursor, &rng), 20.0);
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(2.0, &cursor, &rng), 4.0);
+  EXPECT_DOUBLE_EQ(process.ApplyUpdate(20.0, &cursor, &rng), 40.0);
+  EXPECT_TRUE(std::isinf(process.NextUpdateTime(4.0, &cursor, &rng)));
 }
 
+// The replay position is the caller's cursor, not process state: a fresh
+// cursor replays from the first point.
 TEST(TraceProcessTest, ResetRewinds) {
-  TraceProcess process({{1.0, 10.0}, {2.0, 20.0}});
+  TraceTable table;
+  const UpdateProcess process =
+      UpdateProcess::Trace(table, table.Add({{1.0, 10.0}, {2.0, 20.0}}));
   Rng rng(1);
-  process.NextUpdateTime(0.0, &rng);
-  process.ApplyUpdate(0.0, &rng);
-  process.Reset();
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, &rng), 1.0);
-  EXPECT_DOUBLE_EQ(process.ApplyUpdate(0.0, &rng), 10.0);
+  uint32_t cursor = 0;
+  process.NextUpdateTime(0.0, &cursor, &rng);
+  process.ApplyUpdate(0.0, &cursor, &rng);
+  EXPECT_EQ(cursor, 1u);
+  uint32_t fresh = 0;
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, &fresh, &rng), 1.0);
+  EXPECT_DOUBLE_EQ(process.ApplyUpdate(0.0, &fresh, &rng), 10.0);
 }
 
 TEST(TraceProcessTest, RateIsPointsOverSpan) {
-  TraceProcess process({{0.0, 1.0}, {10.0, 2.0}, {20.0, 3.0}});
-  EXPECT_DOUBLE_EQ(process.rate(), 0.1);  // 2 gaps over 20 s
-}
-
-TEST(ProductWeightTest, MultipliesFactors) {
-  ProductWeight weight(MakeConstantWeight(3.0), MakeConstantWeight(2.0));
-  EXPECT_DOUBLE_EQ(weight.ValueAt(0.0), 6.0);
-  EXPECT_DOUBLE_EQ(weight.average(), 6.0);
+  TraceTable table;
+  const int32_t k = table.Add({{0.0, 1.0}, {10.0, 2.0}, {20.0, 3.0}});
+  EXPECT_DOUBLE_EQ(table.rate(k), 0.1);  // 2 gaps over 20 s
 }
 
 // ---------------------------------------------------------------- Workload
@@ -124,6 +128,11 @@ TEST(WorkloadTest, RejectsBernoulliProbabilityAboveOne) {
   config.update_model = WorkloadConfig::UpdateModel::kBernoulli;
   config.rate_hi = 2.0;
   EXPECT_FALSE(MakeWorkload(config).ok());
+  // Either half of the half-slow-half-fast split.
+  config.rate_hi = 1.0;
+  config.rate_distribution = RateDistribution::kHalfSlowHalfFast;
+  config.slow_rate = 1.5;
+  EXPECT_FALSE(MakeWorkload(config).ok());
 }
 
 TEST(WorkloadTest, ShapesAndGrouping) {
@@ -134,10 +143,9 @@ TEST(WorkloadTest, ShapesAndGrouping) {
   ASSERT_TRUE(workload.ok());
   EXPECT_EQ(workload->total_objects(), 15);
   for (int64_t i = 0; i < 15; ++i) {
-    EXPECT_EQ(workload->objects[i].index, i);
     EXPECT_EQ(workload->objects[i].source_index, i / 5);
-    EXPECT_NE(workload->objects[i].process, nullptr);
-    EXPECT_NE(workload->objects[i].weight, nullptr);
+    EXPECT_EQ(workload->objects[i].process, ProcessKind::kPoissonWalk);
+    EXPECT_EQ(workload->objects[i].weight_wave, -1);  // constant weights
   }
 }
 
@@ -198,7 +206,7 @@ TEST(WorkloadTest, HalfHeavyWeights) {
   ASSERT_TRUE(workload.ok());
   int heavy = 0;
   for (const auto& spec : workload->objects) {
-    const double w = spec.weight->average();
+    const double w = spec.weight;
     EXPECT_TRUE(w == 1.0 || w == 10.0);
     heavy += w == 10.0;
   }
@@ -216,7 +224,7 @@ TEST(WorkloadTest, WeightAndRateSplitsAreIndependent) {
   ASSERT_TRUE(workload.ok());
   int heavy_fast = 0;
   for (const auto& spec : workload->objects) {
-    if (spec.weight->average() == 10.0 && spec.lambda == 1.0) ++heavy_fast;
+    if (spec.weight == 10.0 && spec.lambda == 1.0) ++heavy_fast;
   }
   EXPECT_GT(heavy_fast, 150);
   EXPECT_LT(heavy_fast, 350);
@@ -287,8 +295,12 @@ TEST(BuoyTraceTest, WorkloadUsesOneSourcePerBuoy) {
   EXPECT_EQ(workload->num_sources, 4);
   EXPECT_EQ(workload->objects_per_source, 2);
   EXPECT_EQ(workload->total_objects(), 8);
+  ASSERT_NE(workload->traces, nullptr);
+  EXPECT_EQ(workload->traces->num_traces(), 8);
   for (const auto& spec : workload->objects) {
-    EXPECT_DOUBLE_EQ(spec.weight->average(), 1.0);  // equally weighted
+    EXPECT_DOUBLE_EQ(spec.weight, 1.0);  // equally weighted
+    EXPECT_EQ(spec.weight_wave, -1);
+    EXPECT_EQ(spec.process, ProcessKind::kTrace);
     EXPECT_GT(spec.lambda, 0.0);
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/weight.h"
 #include "data/workload.h"
 #include "divergence/ground_truth.h"
 #include "divergence/metric.h"
@@ -185,7 +184,7 @@ TEST_F(GroundTruthTest, OutOfOrderApplyIgnored) {
 }
 
 TEST_F(GroundTruthTest, SourceWeightsViewDiffers) {
-  workload_.objects[0].source_weight = MakeConstantWeight(10.0);
+  workload_.SetSourceWeight(0, Fluctuation::Constant(10.0));
   GroundTruth cache_view(&workload_, &lag_, /*use_source_weights=*/false);
   GroundTruth source_view(&workload_, &lag_, /*use_source_weights=*/true);
   cache_view.Initialize(0.0);

@@ -21,23 +21,23 @@ namespace {
 // ------------------------------------------------------- Regime switching
 
 TEST(RegimeSwitchingProcessTest, RatePerRegime) {
-  RegimeSwitchingProcess process(2.0, 0.1, 100.0);
-  EXPECT_DOUBLE_EQ(process.RateAt(50.0), 2.0);
-  EXPECT_DOUBLE_EQ(process.RateAt(150.0), 0.1);
-  EXPECT_DOUBLE_EQ(process.RateAt(250.0), 2.0);
-  EXPECT_DOUBLE_EQ(process.rate(), 1.05);
+  const RegimeSwitch regime{2.0, 0.1, 100.0};
+  EXPECT_DOUBLE_EQ(regime.RateAt(50.0), 2.0);
+  EXPECT_DOUBLE_EQ(regime.RateAt(150.0), 0.1);
+  EXPECT_DOUBLE_EQ(regime.RateAt(250.0), 2.0);
 }
 
 TEST(RegimeSwitchingProcessTest, EventCountsFollowRegimes) {
-  RegimeSwitchingProcess process(2.0, 0.1, 100.0);
+  const RegimeSwitch regime{2.0, 0.1, 100.0};
+  const UpdateProcess process = UpdateProcess::Switching(regime);
   Rng rng(5);
   int64_t events_a = 0;
   int64_t events_b = 0;
   double t = 0.0;
   while (t < 10000.0) {
-    t = process.NextUpdateTime(t, &rng);
+    t = process.NextUpdateTime(t, nullptr, &rng);
     if (t >= 10000.0) break;
-    (process.RateAt(t) == 2.0 ? events_a : events_b) += 1;
+    (regime.RateAt(t) == 2.0 ? events_a : events_b) += 1;
   }
   // 50 regimes of each kind, 100 s each: expect ~2.0*5000 = 10000 A-events
   // and ~0.1*5000 = 500 B-events.
@@ -46,10 +46,10 @@ TEST(RegimeSwitchingProcessTest, EventCountsFollowRegimes) {
 }
 
 TEST(RegimeSwitchingProcessTest, ZeroRateRegimeSkipped) {
-  RegimeSwitchingProcess process(0.0, 1.0, 10.0);
+  const UpdateProcess process = UpdateProcess::Switching(RegimeSwitch{0.0, 1.0, 10.0});
   Rng rng(6);
   // Starting in the zero-rate regime, the first update must land in [10,20).
-  const double first = process.NextUpdateTime(0.0, &rng);
+  const double first = process.NextUpdateTime(0.0, nullptr, &rng);
   EXPECT_GE(first, 10.0);
   EXPECT_LT(first, 40.0);  // overwhelmingly within the first active regime
 }
@@ -141,12 +141,12 @@ TEST(HistoryRateEstimatorTest, IgnoresDegenerateIntervals) {
 // ---------------------------------------------------------- Drift process
 
 TEST(DriftProcessTest, DeterministicIntervals) {
-  DriftProcess process(0.5);  // every 2 s
+  const UpdateProcess process = UpdateProcess::Drift(0.5);  // every 2 s
   Rng rng(1);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, &rng), 2.0);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(2.0, &rng), 4.0);
-  EXPECT_DOUBLE_EQ(process.NextUpdateTime(3.0, &rng), 4.0);
-  EXPECT_DOUBLE_EQ(process.ApplyUpdate(7.0, &rng), 8.0);  // one-sided
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(0.0, nullptr, &rng), 2.0);
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(2.0, nullptr, &rng), 4.0);
+  EXPECT_DOUBLE_EQ(process.NextUpdateTime(3.0, nullptr, &rng), 4.0);
+  EXPECT_DOUBLE_EQ(process.ApplyUpdate(7.0, nullptr, &rng), 8.0);  // one-sided
 }
 
 TEST(DriftProcessTest, DivergenceMatchesBound) {
@@ -155,13 +155,13 @@ TEST(DriftProcessTest, DivergenceMatchesBound) {
   ValueDeviationMetric metric;
   DivergenceTracker tracker(&metric);
   tracker.OnRefresh(0.0, 0.0, 0);
-  DriftProcess process(1.0);
+  const UpdateProcess process = UpdateProcess::Drift(1.0);
   Rng rng(2);
   double value = 0.0;
   double t = 0.0;
   for (int i = 0; i < 50; ++i) {
-    t = process.NextUpdateTime(t, &rng);
-    value = process.ApplyUpdate(value, &rng);
+    t = process.NextUpdateTime(t, nullptr, &rng);
+    value = process.ApplyUpdate(value, nullptr, &rng);
     tracker.OnUpdate(t, value, i + 1);
   }
   EXPECT_DOUBLE_EQ(tracker.current_divergence(), 50.0);  // R*T with R=1,T=50
@@ -170,7 +170,7 @@ TEST(DriftProcessTest, DivergenceMatchesBound) {
 // ----------------------------------------------------- Costs on the link
 
 std::unique_ptr<BandwidthModel> Constant(double rate) {
-  return std::make_unique<BandwidthModel>(std::make_unique<ConstantFluctuation>(rate));
+  return std::make_unique<BandwidthModel>(Fluctuation::Constant(rate));
 }
 
 TEST(LinkCostTest, LargeMessageSpansTicks) {

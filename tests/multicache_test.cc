@@ -27,11 +27,11 @@ TEST(InterestMapTest, DefaultSingleCache) {
   config.objects_per_source = 4;
   const Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
   EXPECT_EQ(workload.num_caches, 1);
-  for (const ObjectSpec& spec : workload.objects) {
-    ASSERT_EQ(spec.num_replicas(), 1);
-    EXPECT_EQ(spec.caches[0], 0);
-    EXPECT_EQ(spec.replica_slot(0), 0);
-    EXPECT_EQ(spec.replica_slot(1), -1);
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    ASSERT_EQ(workload.num_replicas(i), 1);
+    EXPECT_EQ(workload.caches(i)[0], 0);
+    EXPECT_EQ(workload.replica_slot(i, 0), 0);
+    EXPECT_EQ(workload.replica_slot(i, 1), -1);
   }
   EXPECT_EQ(workload.total_replicas(), workload.total_objects());
 }
@@ -49,9 +49,9 @@ TEST(InterestMapTest, PartitionedBySourceIsDisjoint) {
   config.num_caches = 3;
   config.interest_pattern = InterestPattern::kPartitionedBySource;
   const Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
-  for (const ObjectSpec& spec : workload.objects) {
-    ASSERT_EQ(spec.num_replicas(), 1);
-    EXPECT_EQ(spec.caches[0], spec.source_index % 3);
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    ASSERT_EQ(workload.num_replicas(i), 1);
+    EXPECT_EQ(workload.caches(i)[0], workload.objects[i].source_index % 3);
   }
   const auto sources = SourcesByCache(workload);
   ASSERT_EQ(sources.size(), 3u);
@@ -68,9 +68,9 @@ TEST(InterestMapTest, FullReplicationCoversEveryCache) {
   config.interest_pattern = InterestPattern::kFullReplication;
   const Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
   EXPECT_EQ(workload.total_replicas(), 4 * workload.total_objects());
-  for (const ObjectSpec& spec : workload.objects) {
-    ASSERT_EQ(spec.num_replicas(), 4);
-    for (int c = 0; c < 4; ++c) EXPECT_EQ(spec.replica_slot(c), c);
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    ASSERT_EQ(workload.num_replicas(i), 4);
+    for (int c = 0; c < 4; ++c) EXPECT_EQ(workload.replica_slot(i, c), c);
   }
   for (const auto& list : SourcesByCache(workload)) {
     EXPECT_EQ(list, (std::vector<int32_t>{0, 1}));
@@ -86,17 +86,20 @@ TEST(InterestMapTest, ZipfOverlapIsValidAndSkewed) {
   config.zipf_overlap_exponent = 1.0;
   const Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
   int64_t single = 0;
-  for (const ObjectSpec& spec : workload.objects) {
-    ASSERT_GE(spec.num_replicas(), 1);
-    ASSERT_LE(spec.num_replicas(), 4);
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    const CacheList caches = workload.caches(i);
+    ASSERT_GE(caches.size(), 1);
+    ASSERT_LE(caches.size(), 4);
     // Sorted, duplicate-free, in range, and containing the primary cache.
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      EXPECT_GE(spec.caches[r], 0);
-      EXPECT_LT(spec.caches[r], 4);
-      if (r > 0) EXPECT_LT(spec.caches[r - 1], spec.caches[r]);
+    for (int r = 0; r < caches.size(); ++r) {
+      EXPECT_GE(caches[r], 0);
+      EXPECT_LT(caches[r], 4);
+      if (r > 0) {
+        EXPECT_LT(caches[r - 1], caches[r]);
+      }
     }
-    EXPECT_GE(spec.replica_slot(spec.source_index % 4), 0);
-    if (spec.num_replicas() == 1) ++single;
+    EXPECT_GE(workload.replica_slot(i, workload.objects[i].source_index % 4), 0);
+    if (caches.size() == 1) ++single;
   }
   // Zipf skew: a majority of objects live at exactly one cache, but overlap
   // exists.
@@ -185,18 +188,18 @@ Workload BuildSubWorkload(const WorkloadConfig& config, int32_t cache_id) {
   sub.objects_per_source = full.objects_per_source;
   sub.num_caches = 1;
   sub.has_fluctuating_weights = full.has_fluctuating_weights;
+  sub.weight_waves = full.weight_waves;  // the rows keep their side-table rows
   int32_t next_source = -1;
   int32_t last_original_source = -1;
-  for (ObjectSpec& spec : full.objects) {
-    if (spec.caches.front() != cache_id) continue;
+  for (ObjectIndex i = 0; i < full.total_objects(); ++i) {
+    ObjectSpec spec = full.objects[i];
+    if (full.caches(i).front() != cache_id) continue;
     if (spec.source_index != last_original_source) {
       last_original_source = spec.source_index;
       ++next_source;
     }
     spec.source_index = next_source;
-    spec.index = static_cast<ObjectIndex>(sub.objects.size());
-    spec.caches = {0};
-    sub.objects.push_back(std::move(spec));
+    sub.AddObject(spec);
   }
   sub.num_sources = next_source + 1;
   return sub;

@@ -12,18 +12,18 @@ namespace besync {
 namespace {
 
 std::unique_ptr<BandwidthModel> ConstantBandwidth(double rate) {
-  return std::make_unique<BandwidthModel>(std::make_unique<ConstantFluctuation>(rate));
+  return std::make_unique<BandwidthModel>(Fluctuation::Constant(rate));
 }
 
 TEST(BandwidthModelTest, IntegerRateYieldsExactBudget) {
-  BandwidthModel model(std::make_unique<ConstantFluctuation>(5.0));
+  BandwidthModel model(Fluctuation::Constant(5.0));
   for (int t = 0; t < 10; ++t) {
     EXPECT_EQ(model.BudgetForTick(t, 1.0), 5);
   }
 }
 
 TEST(BandwidthModelTest, FractionalRateAccumulatesCredit) {
-  BandwidthModel model(std::make_unique<ConstantFluctuation>(0.5));
+  BandwidthModel model(Fluctuation::Constant(0.5));
   int64_t total = 0;
   for (int t = 0; t < 100; ++t) total += model.BudgetForTick(t, 1.0);
   EXPECT_EQ(total, 50);  // 0.5 msg/s over 100 s

@@ -111,11 +111,11 @@ TEST_P(GroundTruthFuzzTest, PerCacheIntegralsMatchBruteForce) {
   std::vector<int64_t> source_version(workload.objects.size(), 0);
   auto reweigh = [&](double at) {
     for (Replica& r : replicas) {
-      r.weight = workload.objects[r.object].weight->ValueAt(at);
+      r.weight = workload.WeightAt(r.object, at);
     }
   };
   for (size_t i = 0; i < workload.objects.size(); ++i) {
-    for (int32_t cache : workload.objects[i].caches) {
+    for (int32_t cache : workload.caches(static_cast<ObjectIndex>(i))) {
       replicas.push_back({static_cast<ObjectIndex>(i), cache, 0, 0.0});
     }
   }
@@ -218,7 +218,7 @@ class LinkConservationTest : public ::testing::TestWithParam<double> {};
 TEST_P(LinkConservationTest, EnqueuedEqualsDeliveredPlusDroppedPlusQueued) {
   const double loss = GetParam();
   Link link("fuzz", std::make_unique<BandwidthModel>(
-                        std::make_unique<ConstantFluctuation>(3.0)));
+                        Fluctuation::Constant(3.0)));
   if (loss > 0.0) link.SetLossRate(loss, 77);
   Rng rng(5);
   int64_t enqueued = 0;
@@ -247,13 +247,13 @@ class BernoulliRateSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(BernoulliRateSweep, LongRunRateMatches) {
   const double p = GetParam();
-  BernoulliRandomWalkProcess process(p);
+  const UpdateProcess process = UpdateProcess::BernoulliWalk(p);
   Rng rng(31);
   double t = 0.0;
   int64_t count = 0;
   const double horizon = 50000.0;
   while (true) {
-    t = process.NextUpdateTime(t, &rng);
+    t = process.NextUpdateTime(t, nullptr, &rng);
     if (t >= horizon) break;
     ++count;
   }
@@ -267,13 +267,13 @@ class PoissonRateSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(PoissonRateSweep, LongRunRateMatches) {
   const double lambda = GetParam();
-  PoissonRandomWalkProcess process(lambda);
+  const UpdateProcess process = UpdateProcess::PoissonWalk(lambda);
   Rng rng(33);
   double t = 0.0;
   int64_t count = 0;
   const double horizon = 20000.0;
   while (true) {
-    t = process.NextUpdateTime(t, &rng);
+    t = process.NextUpdateTime(t, nullptr, &rng);
     if (t >= horizon) break;
     ++count;
   }

@@ -37,6 +37,13 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(status.ToString(), "Invalid argument: bad value: 42");
 }
 
+TEST(StatusTest, DoublesPrintShortestRoundTrip) {
+  EXPECT_EQ(Status::InvalidArgument("got ", 1.0, ", ", -5.0).message(), "got 1, -5");
+  EXPECT_EQ(Status::InvalidArgument("rate ", 1e-7).message(), "rate 1e-07");
+  EXPECT_EQ(Status::InvalidArgument("loss ", 0.1).message(), "loss 0.1");
+  EXPECT_EQ(Status::InvalidArgument("count ", 3).message(), "count 3");
+}
+
 TEST(StatusTest, CopyPreservesContent) {
   Status status = Status::NotFound("object ", 7);
   Status copy = status;  // NOLINT(performance-unnecessary-copy-initialization)
@@ -298,14 +305,16 @@ TEST(UtilizationStatTest, Ratio) {
 // ----------------------------------------------------------- Fluctuation
 
 TEST(FluctuationTest, ConstantIsConstant) {
-  ConstantFluctuation fluctuation(4.2);
+  const Fluctuation fluctuation = Fluctuation::Constant(4.2);
+  EXPECT_TRUE(fluctuation.constant());
   EXPECT_DOUBLE_EQ(fluctuation.ValueAt(0.0), 4.2);
   EXPECT_DOUBLE_EQ(fluctuation.ValueAt(1e6), 4.2);
   EXPECT_DOUBLE_EQ(fluctuation.average(), 4.2);
 }
 
 TEST(FluctuationTest, SineStaysPositiveAndAveragesToBase) {
-  SineFluctuation fluctuation(10.0, 0.5, 100.0, 0.3);
+  const Fluctuation fluctuation = Fluctuation::Sine(10.0, 0.5, 100.0, 0.3);
+  EXPECT_FALSE(fluctuation.constant());
   double sum = 0.0;
   const int kSteps = 10000;
   for (int i = 0; i < kSteps; ++i) {
@@ -320,29 +329,26 @@ TEST(FluctuationTest, SineStaysPositiveAndAveragesToBase) {
 
 TEST(FluctuationTest, BandwidthFactoryRespectsChangeRate) {
   Rng rng(1);
-  auto fluctuation = MakeBandwidthFluctuation(100.0, 0.25, &rng);
+  const Fluctuation fluctuation = MakeBandwidthFluctuation(100.0, 0.25, &rng);
   // Max relative derivative = amplitude * 2*pi / period must equal mB.
-  auto* sine = dynamic_cast<SineFluctuation*>(fluctuation.get());
-  ASSERT_NE(sine, nullptr);
-  const double max_rate =
-      sine->relative_amplitude() * 2.0 * M_PI / sine->period();
+  ASSERT_FALSE(fluctuation.constant());
+  const double max_rate = fluctuation.amplitude * 2.0 * M_PI / fluctuation.period;
   EXPECT_NEAR(max_rate, 0.25, 1e-9);
 }
 
 TEST(FluctuationTest, BandwidthFactoryZeroRateIsConstant) {
   Rng rng(1);
-  auto fluctuation = MakeBandwidthFluctuation(100.0, 0.0, &rng);
-  EXPECT_NE(dynamic_cast<ConstantFluctuation*>(fluctuation.get()), nullptr);
+  EXPECT_TRUE(MakeBandwidthFluctuation(100.0, 0.0, &rng).constant());
 }
 
 TEST(FluctuationTest, WeightFactoryDrawsWithinBounds) {
   Rng rng(2);
   for (int i = 0; i < 20; ++i) {
-    auto weight = MakeWeightFluctuation(2.0, 0.8, 100.0, 1000.0, &rng);
-    EXPECT_DOUBLE_EQ(weight->average(), 2.0);
+    const Fluctuation weight = MakeWeightFluctuation(2.0, 0.8, 100.0, 1000.0, &rng);
+    EXPECT_DOUBLE_EQ(weight.average(), 2.0);
     for (double t : {0.0, 50.0, 123.0, 999.0}) {
-      EXPECT_GT(weight->ValueAt(t), 0.0);
-      EXPECT_LT(weight->ValueAt(t), 2.0 * 1.81);
+      EXPECT_GT(weight.ValueAt(t), 0.0);
+      EXPECT_LT(weight.ValueAt(t), 2.0 * 1.81);
     }
   }
 }
