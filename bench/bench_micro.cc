@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,8 @@
 #include "divergence/metric.h"
 #include "divergence/tracker.h"
 #include "exp/experiment.h"
+#include "obs/export.h"
+#include "obs/trace.h"
 #include "priority/priority.h"
 #include "priority/priority_queue.h"
 #include "sim/simulation.h"
@@ -222,6 +225,48 @@ void BM_SetupPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_SetupPath)->Unit(benchmark::kMillisecond);
+
+// Obs finish + export at the scale of a long traced run: ~1M events
+// recorded over 100 entity buffers, 100k kept. Finish selects and orders
+// the kept events; WriteTraceJson formats them into a null stream. The
+// collector is refilled outside the timed region each iteration.
+void BM_ObsFinishAndExport(benchmark::State& state) {
+  constexpr int kSources = 50;
+  constexpr int kCaches = 40;
+  constexpr int kRelays = 9;
+  constexpr int kEvents = 1000000;
+  ObsConfig config;
+  config.enabled = true;
+  config.trace = true;
+  config.max_trace_events = 100000;
+  std::ostream null_stream(nullptr);
+  for (auto _ : state) {
+    state.PauseTiming();
+    ObsCollector collector(config, kSources, kCaches, kRelays, 1.0);
+    std::vector<TraceBuffer*> buffers{collector.main_buffer()};
+    for (int s = 0; s < kSources; ++s) buffers.push_back(collector.source_buffer(s));
+    for (int c = 0; c < kCaches; ++c) buffers.push_back(collector.cache_buffer(c));
+    for (int r = 0; r < kRelays; ++r) buffers.push_back(collector.relay_buffer(r));
+    Rng rng(17);
+    for (int i = 0; i < kEvents; ++i) {
+      TraceEvent event;
+      event.t = 1e-3 * i + rng.Uniform(0.0, 0.5);
+      event.kind = static_cast<TraceEventKind>(rng.UniformInt(0, 13));
+      event.source = static_cast<int32_t>(rng.UniformInt(0, kSources - 1));
+      event.cache = static_cast<int32_t>(rng.UniformInt(0, kCaches - 1));
+      event.object = rng.UniformInt(0, 9999);
+      event.version = i;
+      event.value = rng.NextDouble();
+      buffers[static_cast<size_t>(i) % buffers.size()]->Record(event);
+    }
+    state.ResumeTiming();
+    const std::shared_ptr<ObsOutput> output = collector.Finish();
+    WriteTraceJson(null_stream, {ObsJob{"bench", output.get()}});
+    benchmark::DoNotOptimize(output->trace.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_ObsFinishAndExport)->Unit(benchmark::kMillisecond);
 
 // End-to-end throughput: one full (small) cooperative run per iteration;
 // the counter reports simulated object-seconds per wall second.

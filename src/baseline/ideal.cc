@@ -33,7 +33,10 @@ void IdealCooperativeScheduler::Initialize(Harness* harness) {
   cache_debt_ = 0;
 
   epochs_.assign(workload.objects.size(), 0);
-  history_.assign(workload.objects.size(), HistoryRateEstimator());
+  // Only the history-blended policy reads a realized divergence rate.
+  const bool keeps_history = policy_->kind() == PolicyKind::kAreaHistory;
+  history_.assign(keeps_history ? workload.objects.size() : 0,
+                  HistoryRateEstimator());
   object_source_.resize(workload.objects.size());
   for (size_t i = 0; i < workload.objects.size(); ++i) {
     object_source_[i] = workload.objects[i].source_index;
@@ -58,7 +61,7 @@ double IdealCooperativeScheduler::ComputePriority(ObjectIndex index, double now)
     context.weight /= static_cast<double>(spec.refresh_cost);
   }
   context.max_divergence_rate = spec.max_divergence_rate;
-  context.history_rate = history_[index].rate();
+  if (!history_.empty()) context.history_rate = history_[index].rate();
   context.lambda_estimate = EstimateLambda(
       config_.lambda_mode, spec.lambda, harness_->object(index).state.version, now,
       tracker.updates_since_refresh(), now - tracker.last_refresh_time());
@@ -123,7 +126,7 @@ void IdealCooperativeScheduler::Tick(double t) {
     const int64_t cost = harness_->spec(top.index).refresh_cost;
     source_budget_[j] -= cost;
     budget -= cost;
-    {
+    if (!history_.empty()) {
       const DivergenceTracker& tracker = harness_->tracker(top.index);
       history_[top.index].OnRefresh(t - tracker.last_refresh_time(),
                                     tracker.IntegralTo(t));

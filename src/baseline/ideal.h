@@ -63,6 +63,8 @@ class IdealCooperativeScheduler : public Scheduler {
   /// update-sensitive policies) update notifications.
   TimeMinHeap wake_queue_;
   std::vector<uint64_t> epochs_;
+  /// Per-object realized divergence rates; allocated (and fed) only under
+  /// PolicyKind::kAreaHistory, empty otherwise.
   std::vector<HistoryRateEstimator> history_;
   std::vector<int32_t> object_source_;
   std::vector<int64_t> source_budget_;  // scratch, per tick

@@ -58,6 +58,8 @@ struct ObjectRuntime {
 
   explicit ObjectRuntime(uint64_t seed) : rng(seed) {}
 };
+static_assert(sizeof(ObjectRuntime) == sizeof(ObjectState) + sizeof(Rng),
+              "per-object run state carries no padding or side cache");
 
 /// Statistics a scheduler reports after a run (fields irrelevant to a given
 /// scheduler stay zero).

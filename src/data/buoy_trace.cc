@@ -24,6 +24,7 @@ Result<std::vector<std::vector<TracePoint>>> GenerateBuoyTraces(
   }
 
   Rng rng(config.seed);
+  NormalSampler normal(&rng);
   const int64_t steps =
       static_cast<int64_t>(config.duration / config.measurement_interval);
   std::vector<std::vector<TracePoint>> traces;
@@ -37,11 +38,11 @@ Result<std::vector<std::vector<TracePoint>>> GenerateBuoyTraces(
       const double sigma = rng.Uniform(config.volatility_lo, config.volatility_hi);
       std::vector<TracePoint> trace;
       trace.reserve(steps);
-      double value = std::clamp(rng.Normal(mean, sigma * 2.0), config.min_value,
+      double value = std::clamp(normal.Next(mean, sigma * 2.0), config.min_value,
                                 config.max_value);
       for (int64_t k = 1; k <= steps; ++k) {
         // Discretized Ornstein-Uhlenbeck step, clamped to the physical range.
-        value += config.reversion * (mean - value) + rng.Normal(0.0, sigma);
+        value += config.reversion * (mean - value) + normal.Next(0.0, sigma);
         value = std::clamp(value, config.min_value, config.max_value);
         trace.push_back(
             TracePoint{static_cast<double>(k) * config.measurement_interval, value});

@@ -3,61 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "exp/sweep.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/shard_pool.h"
 
 namespace besync {
 namespace {
 
-/// Shortest decimal representation that round-trips to the exact double —
-/// a pure function of the value, so serialized grids are byte-stable.
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";  // JSON has no NaN/Inf
-  char buffer[32];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
-}
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char escape[8];
-          std::snprintf(escape, sizeof(escape), "\\u%04x", c);
-          out += escape;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+/// One CSV cell in the JSON number format, so both outputs spell a value
+/// the same way.
+std::string CsvNumber(double value) {
+  std::string cell;
+  AppendJsonNumber(&cell, value);
+  return cell;
 }
 
 /// Times `run` (which includes any workload build/clone cost) and unpacks
@@ -186,89 +147,90 @@ std::vector<JobResult> RunExperimentsOnWorkload(const Workload& base_workload,
 
 void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results,
                       const std::string& extra_top_level) {
-  os << "{\n  \"schema\": \"besync.run_results.v1\",\n  \"results\": [";
+  JsonWriter out(&os);
+  out << "{\n  \"schema\": \"besync.run_results.v1\",\n  \"results\": [";
   for (size_t i = 0; i < results.size(); ++i) {
     const JobResult& job = results[i];
     const RunResult& r = job.result;
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"name\": " << JsonString(job.name)
-       << ", \"scheduler\": " << JsonString(SchedulerKindToString(job.config.scheduler))
-       << ", \"policy\": " << JsonString(PolicyKindToString(job.config.policy))
-       << ", \"metric\": " << JsonString(MetricKindToString(job.config.metric))
-       << ", \"num_caches\": " << job.config.workload.num_caches
-       << ", \"cache_bandwidth_avg\": " << JsonNumber(job.config.cache_bandwidth_avg)
-       << ", \"source_bandwidth_avg\": " << JsonNumber(job.config.source_bandwidth_avg)
-       << ", \"loss_rate\": " << JsonNumber(job.config.loss_rate)
-       << ", \"workload_seed\": " << job.config.workload.seed
-       << ", \"ok\": " << (job.status.ok() ? "true" : "false")
-       << ", \"error\": " << JsonString(job.status.ok() ? "" : job.status.ToString())
-       << ",\n     \"total_weighted_divergence\": "
-       << JsonNumber(r.total_weighted_divergence) << ", \"per_cache_weighted\": [";
+    out << (i == 0 ? "\n" : ",\n");
+    out << "    {\"name\": " << JsonString(job.name)
+        << ", \"scheduler\": " << JsonString(SchedulerKindToString(job.config.scheduler))
+        << ", \"policy\": " << JsonString(PolicyKindToString(job.config.policy))
+        << ", \"metric\": " << JsonString(MetricKindToString(job.config.metric))
+        << ", \"num_caches\": " << job.config.workload.num_caches
+        << ", \"cache_bandwidth_avg\": " << JsonNumber(job.config.cache_bandwidth_avg)
+        << ", \"source_bandwidth_avg\": " << JsonNumber(job.config.source_bandwidth_avg)
+        << ", \"loss_rate\": " << JsonNumber(job.config.loss_rate)
+        << ", \"workload_seed\": " << job.config.workload.seed
+        << ", \"ok\": " << (job.status.ok() ? "true" : "false")
+        << ", \"error\": " << JsonString(job.status.ok() ? "" : job.status.ToString())
+        << ",\n     \"total_weighted_divergence\": "
+        << JsonNumber(r.total_weighted_divergence) << ", \"per_cache_weighted\": [";
     for (size_t c = 0; c < r.per_cache_weighted.size(); ++c) {
-      os << (c == 0 ? "" : ", ") << JsonNumber(r.per_cache_weighted[c]);
+      out << (c == 0 ? "" : ", ") << JsonNumber(r.per_cache_weighted[c]);
     }
-    os << "], \"per_object_weighted\": " << JsonNumber(r.per_object_weighted)
-       << ", \"per_object_unweighted\": " << JsonNumber(r.per_object_unweighted)
-       << ", \"total_replicas\": " << r.total_replicas
-       << ", \"refreshes_sent\": " << r.scheduler.refreshes_sent
-       << ", \"refreshes_delivered\": " << r.scheduler.refreshes_delivered
-       << ", \"feedback_sent\": " << r.scheduler.feedback_sent
-       << ", \"polls_sent\": " << r.scheduler.polls_sent
-       << ", \"cache_utilization\": " << JsonNumber(r.scheduler.cache_utilization);
+    out << "], \"per_object_weighted\": " << JsonNumber(r.per_object_weighted)
+        << ", \"per_object_unweighted\": " << JsonNumber(r.per_object_unweighted)
+        << ", \"total_replicas\": " << r.total_replicas
+        << ", \"refreshes_sent\": " << r.scheduler.refreshes_sent
+        << ", \"refreshes_delivered\": " << r.scheduler.refreshes_delivered
+        << ", \"feedback_sent\": " << r.scheduler.feedback_sent
+        << ", \"polls_sent\": " << r.scheduler.polls_sent
+        << ", \"cache_utilization\": " << JsonNumber(r.scheduler.cache_utilization);
     if (ReadFieldsApply(job)) {
       const SchedulerStats& s = r.scheduler;
       const double hit_rate =
           s.reads_total > 0 ? static_cast<double>(s.read_hits) /
                                   static_cast<double>(s.reads_total)
                             : 0.0;
-      os << ",\n     \"read_rate\": " << JsonNumber(job.config.workload.read.read_rate)
-         << ", \"capacity\": " << job.config.workload.read.capacity
-         << ", \"eviction\": "
-         << JsonString(EvictionPolicyToString(job.config.workload.read.eviction))
-         << ", \"reads_total\": " << s.reads_total
-         << ", \"read_hits\": " << s.read_hits
-         << ", \"read_misses\": " << s.read_misses
-         << ", \"hit_rate\": " << JsonNumber(hit_rate)
-         << ", \"pull_requests_sent\": " << s.pull_requests_sent
-         << ", \"pulls_delivered\": " << s.pulls_delivered
-         << ", \"cache_evictions\": " << s.cache_evictions
-         << ", \"read_staleness_mean\": " << JsonNumber(s.read_staleness_mean)
-         << ", \"read_staleness_p50\": " << JsonNumber(s.read_staleness_p50)
-         << ", \"read_staleness_p95\": " << JsonNumber(s.read_staleness_p95)
-         << ", \"read_staleness_p99\": " << JsonNumber(s.read_staleness_p99)
-         << ", \"read_miss_latency_mean\": " << JsonNumber(s.read_miss_latency_mean)
-         << ", \"pull_bandwidth_share\": " << JsonNumber(s.pull_bandwidth_share);
+      out << ",\n     \"read_rate\": " << JsonNumber(job.config.workload.read.read_rate)
+          << ", \"capacity\": " << job.config.workload.read.capacity
+          << ", \"eviction\": "
+          << JsonString(EvictionPolicyToString(job.config.workload.read.eviction))
+          << ", \"reads_total\": " << s.reads_total
+          << ", \"read_hits\": " << s.read_hits
+          << ", \"read_misses\": " << s.read_misses
+          << ", \"hit_rate\": " << JsonNumber(hit_rate)
+          << ", \"pull_requests_sent\": " << s.pull_requests_sent
+          << ", \"pulls_delivered\": " << s.pulls_delivered
+          << ", \"cache_evictions\": " << s.cache_evictions
+          << ", \"read_staleness_mean\": " << JsonNumber(s.read_staleness_mean)
+          << ", \"read_staleness_p50\": " << JsonNumber(s.read_staleness_p50)
+          << ", \"read_staleness_p95\": " << JsonNumber(s.read_staleness_p95)
+          << ", \"read_staleness_p99\": " << JsonNumber(s.read_staleness_p99)
+          << ", \"read_miss_latency_mean\": " << JsonNumber(s.read_miss_latency_mean)
+          << ", \"pull_bandwidth_share\": " << JsonNumber(s.pull_bandwidth_share);
     }
     if (ProtocolFieldsApply(job)) {
-      os << ",\n     \"protocol\": "
-         << JsonString(SyncProtocolKindToString(job.config.protocol.kind))
-         << ", \"ttl\": " << JsonNumber(job.config.protocol.ttl)
-         << ", \"invalidate_batch\": " << job.config.protocol.max_invalidate_batch
-         << ", \"invalidations_sent\": " << r.scheduler.invalidations_sent
-         << ", \"invalidations_received\": " << r.scheduler.invalidations_received;
+      out << ",\n     \"protocol\": "
+          << JsonString(SyncProtocolKindToString(job.config.protocol.kind))
+          << ", \"ttl\": " << JsonNumber(job.config.protocol.ttl)
+          << ", \"invalidate_batch\": " << job.config.protocol.max_invalidate_batch
+          << ", \"invalidations_sent\": " << r.scheduler.invalidations_sent
+          << ", \"invalidations_received\": " << r.scheduler.invalidations_received;
     }
     if (FaultFieldsApply(job)) {
       const SchedulerStats& s = r.scheduler;
-      os << ",\n     \"recovery_policy\": "
-         << JsonString(RecoveryPolicyToString(job.config.recovery_policy))
-         << ", \"relay_store_policy\": "
-         << JsonString(RelayStorePolicyToString(job.config.relay_store_policy))
-         << ", \"cache_crashes\": " << s.cache_crashes
-         << ", \"cache_restarts\": " << s.cache_restarts
-         << ", \"relay_failures\": " << s.relay_failures
-         << ", \"link_down_events\": " << s.link_down_events
-         << ", \"slowdown_events\": " << s.slowdown_events
-         << ", \"crash_dropped_pulls\": " << s.crash_dropped_pulls
-         << ", \"resync_deliveries\": " << s.resync_deliveries
-         << ", \"resync_pending\": " << s.resync_pending
-         << ", \"time_to_resync_mean\": " << JsonNumber(s.time_to_resync_mean)
-         << ", \"time_to_resync_p95\": " << JsonNumber(s.time_to_resync_p95);
+      out << ",\n     \"recovery_policy\": "
+          << JsonString(RecoveryPolicyToString(job.config.recovery_policy))
+          << ", \"relay_store_policy\": "
+          << JsonString(RelayStorePolicyToString(job.config.relay_store_policy))
+          << ", \"cache_crashes\": " << s.cache_crashes
+          << ", \"cache_restarts\": " << s.cache_restarts
+          << ", \"relay_failures\": " << s.relay_failures
+          << ", \"link_down_events\": " << s.link_down_events
+          << ", \"slowdown_events\": " << s.slowdown_events
+          << ", \"crash_dropped_pulls\": " << s.crash_dropped_pulls
+          << ", \"resync_deliveries\": " << s.resync_deliveries
+          << ", \"resync_pending\": " << s.resync_pending
+          << ", \"time_to_resync_mean\": " << JsonNumber(s.time_to_resync_mean)
+          << ", \"time_to_resync_p95\": " << JsonNumber(s.time_to_resync_p95);
     }
-    os << "}";
+    out << "}";
   }
-  os << (results.empty() ? "]" : "\n  ]");
-  if (!extra_top_level.empty()) os << ",\n  " << extra_top_level;
-  os << "\n}\n";
+  out << (results.empty() ? "]" : "\n  ]");
+  if (!extra_top_level.empty()) out << ",\n  " << extra_top_level;
+  out << "\n}\n";
 }
 
 Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& results,
@@ -359,44 +321,44 @@ TablePrinter ResultsCsv(const std::vector<JobResult>& results) {
         PolicyKindToString(job.config.policy),
         MetricKindToString(job.config.metric),
         TablePrinter::Cell(job.config.workload.num_caches),
-        JsonNumber(job.config.cache_bandwidth_avg),
-        JsonNumber(job.config.source_bandwidth_avg),
-        JsonNumber(job.config.loss_rate),
+        CsvNumber(job.config.cache_bandwidth_avg),
+        CsvNumber(job.config.source_bandwidth_avg),
+        CsvNumber(job.config.loss_rate),
         std::to_string(job.config.workload.seed),
         job.status.ok() ? "true" : "false",
-        JsonNumber(r.total_weighted_divergence),
-        JsonNumber(r.per_object_weighted),
-        JsonNumber(r.per_object_unweighted),
+        CsvNumber(r.total_weighted_divergence),
+        CsvNumber(r.per_object_weighted),
+        CsvNumber(r.per_object_unweighted),
         TablePrinter::Cell(r.total_replicas),
         TablePrinter::Cell(r.scheduler.refreshes_sent),
         TablePrinter::Cell(r.scheduler.refreshes_delivered),
         TablePrinter::Cell(r.scheduler.feedback_sent),
         TablePrinter::Cell(r.scheduler.polls_sent),
-        JsonNumber(r.scheduler.cache_utilization)};
+        CsvNumber(r.scheduler.cache_utilization)};
     if (reads) {
       const SchedulerStats& s = r.scheduler;
       const double hit_rate =
           s.reads_total > 0 ? static_cast<double>(s.read_hits) /
                                   static_cast<double>(s.reads_total)
                             : 0.0;
-      row.push_back(JsonNumber(job.config.workload.read.read_rate));
+      row.push_back(CsvNumber(job.config.workload.read.read_rate));
       row.push_back(std::to_string(job.config.workload.read.capacity));
       row.push_back(EvictionPolicyToString(job.config.workload.read.eviction));
       row.push_back(TablePrinter::Cell(s.reads_total));
-      row.push_back(JsonNumber(hit_rate));
+      row.push_back(CsvNumber(hit_rate));
       row.push_back(TablePrinter::Cell(s.pull_requests_sent));
       row.push_back(TablePrinter::Cell(s.pulls_delivered));
       row.push_back(TablePrinter::Cell(s.cache_evictions));
-      row.push_back(JsonNumber(s.read_staleness_mean));
-      row.push_back(JsonNumber(s.read_staleness_p50));
-      row.push_back(JsonNumber(s.read_staleness_p95));
-      row.push_back(JsonNumber(s.read_staleness_p99));
-      row.push_back(JsonNumber(s.read_miss_latency_mean));
-      row.push_back(JsonNumber(s.pull_bandwidth_share));
+      row.push_back(CsvNumber(s.read_staleness_mean));
+      row.push_back(CsvNumber(s.read_staleness_p50));
+      row.push_back(CsvNumber(s.read_staleness_p95));
+      row.push_back(CsvNumber(s.read_staleness_p99));
+      row.push_back(CsvNumber(s.read_miss_latency_mean));
+      row.push_back(CsvNumber(s.pull_bandwidth_share));
     }
     if (protocols) {
       row.push_back(SyncProtocolKindToString(job.config.protocol.kind));
-      row.push_back(JsonNumber(job.config.protocol.ttl));
+      row.push_back(CsvNumber(job.config.protocol.ttl));
       row.push_back(std::to_string(job.config.protocol.max_invalidate_batch));
       row.push_back(TablePrinter::Cell(r.scheduler.invalidations_sent));
       row.push_back(TablePrinter::Cell(r.scheduler.invalidations_received));
@@ -413,8 +375,8 @@ TablePrinter ResultsCsv(const std::vector<JobResult>& results) {
       row.push_back(TablePrinter::Cell(s.crash_dropped_pulls));
       row.push_back(TablePrinter::Cell(s.resync_deliveries));
       row.push_back(TablePrinter::Cell(s.resync_pending));
-      row.push_back(JsonNumber(s.time_to_resync_mean));
-      row.push_back(JsonNumber(s.time_to_resync_p95));
+      row.push_back(CsvNumber(s.time_to_resync_mean));
+      row.push_back(CsvNumber(s.time_to_resync_p95));
     }
     row.push_back(job.status.ok() ? "" : job.status.ToString());
     table.AddRow(std::move(row));

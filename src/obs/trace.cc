@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <functional>
 #include <tuple>
 
 namespace besync {
@@ -88,6 +89,36 @@ void ObsCollector::NoteTick(double t) {
   tick_times_.push_back(t);
 }
 
+namespace {
+
+/// A recorded event's place in the merge: the leading sort keys inline (so
+/// most comparisons touch no event), the buffer id, and the event itself.
+/// Within one buffer, address order is record order.
+struct MergeRef {
+  double t;
+  TraceEventKind kind;
+  uint32_t buffer;
+  const TraceEvent* event;
+};
+
+/// The merge's total order: (t, kind, cache, node, source, object, version,
+/// buffer id, in-buffer sequence). It is exactly the order a stable sort of
+/// the buffers concatenated in id order produces, and no two refs compare
+/// equal, so any selection or sort over it yields the same sequence.
+bool MergeLess(const MergeRef& a, const MergeRef& b) {
+  if (a.t != b.t) return a.t < b.t;
+  if (a.kind != b.kind) return a.kind < b.kind;
+  const TraceEvent& x = *a.event;
+  const TraceEvent& y = *b.event;
+  const auto x_key = std::tie(x.cache, x.node, x.source, x.object, x.version);
+  const auto y_key = std::tie(y.cache, y.node, y.source, y.object, y.version);
+  if (x_key != y_key) return x_key < y_key;
+  if (a.buffer != b.buffer) return a.buffer < b.buffer;
+  return std::less<const TraceEvent*>()(a.event, b.event);
+}
+
+}  // namespace
+
 std::shared_ptr<ObsOutput> ObsCollector::Finish() {
   auto output = std::make_shared<ObsOutput>();
   output->series = std::move(series_);
@@ -95,35 +126,43 @@ std::shared_ptr<ObsOutput> ObsCollector::Finish() {
   output->tick_length = tick_length_;
   output->num_caches = num_caches_;
 
-  // Merge: concatenate in buffer order (main, sources, caches, relays —
-  // each buffer internally in record order), then stable-sort on keys that
-  // are all functions of the event itself. Ties beyond the key keep the
-  // concatenation order, i.e. (buffer id, in-buffer sequence) — every
-  // component independent of run_threads, so the merged order is too.
+  // Select the kept events by reference, then copy only those: O(recorded)
+  // for the selection, O(kept log kept) for the order, and no copy of the
+  // events the cap drops. Buffers need not be time-ordered (the read path
+  // records read times after the tick's deliveries).
+  std::vector<MergeRef> refs;
   size_t total = 0;
   for (const TraceBuffer& buffer : buffers_) {
     total += buffer.events().size();
     output->trace_dropped += buffer.dropped();
   }
-  output->trace.reserve(total);
-  for (const TraceBuffer& buffer : buffers_) {
-    output->trace.insert(output->trace.end(), buffer.events().begin(),
-                         buffer.events().end());
+  refs.reserve(total);
+  for (size_t b = 0; b < buffers_.size(); ++b) {
+    for (const TraceEvent& event : buffers_[b].events()) {
+      refs.push_back({event.t, event.kind, static_cast<uint32_t>(b), &event});
+    }
+  }
+  const int64_t cap = config_.max_trace_events;
+  if (cap > 0 && static_cast<int64_t>(total) > cap) {
+    output->trace_dropped += static_cast<int64_t>(total) - cap;
+    std::nth_element(refs.begin(), refs.begin() + cap, refs.end(), MergeLess);
+    refs.resize(static_cast<size_t>(cap));
+    refs.shrink_to_fit();
+  }
+  std::sort(refs.begin(), refs.end(), MergeLess);
+
+  // Free each buffer once its last kept event is out.
+  std::vector<size_t> remaining(buffers_.size(), 0);
+  for (const MergeRef& ref : refs) ++remaining[ref.buffer];
+  for (size_t b = 0; b < buffers_.size(); ++b) {
+    if (remaining[b] == 0) buffers_[b].ReleaseEvents();
+  }
+  output->trace.reserve(refs.size());
+  for (const MergeRef& ref : refs) {
+    output->trace.push_back(*ref.event);
+    if (--remaining[ref.buffer] == 0) buffers_[ref.buffer].ReleaseEvents();
   }
   buffers_.clear();
-  std::stable_sort(output->trace.begin(), output->trace.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return std::tie(a.t, a.kind, a.cache, a.node, a.source,
-                                     a.object, a.version) <
-                            std::tie(b.t, b.kind, b.cache, b.node, b.source,
-                                     b.object, b.version);
-                   });
-  if (config_.max_trace_events > 0 &&
-      static_cast<int64_t>(output->trace.size()) > config_.max_trace_events) {
-    output->trace_dropped +=
-        static_cast<int64_t>(output->trace.size()) - config_.max_trace_events;
-    output->trace.resize(static_cast<size_t>(config_.max_trace_events));
-  }
   return output;
 }
 

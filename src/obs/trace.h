@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "data/object.h"
@@ -59,19 +60,23 @@ const char* TraceEventKindToString(TraceEventKind kind);
 
 /// One structured trace event. Fields not meaningful for a kind stay at
 /// their defaults (-1 / 0); `aux` and `value` are kind-specific extras
-/// documented on the enum.
+/// documented on the enum. The 8-byte fields lead so the row packs into 64
+/// bytes (one cache line) with no interior padding.
 struct TraceEvent {
-  TraceEventKind kind = TraceEventKind::kEnqueue;
   double t = 0.0;
-  int32_t source = -1;  ///< originating source index
-  int32_t cache = -1;   ///< destination leaf cache id
-  int32_t node = -1;    ///< relay/link node id (fault target, store site)
   ObjectIndex object = -1;
   int64_t version = 0;
   int64_t aux = 0;
   double value = 0.0;
+  TraceEventKind kind = TraceEventKind::kEnqueue;
+  int32_t source = -1;  ///< originating source index
+  int32_t cache = -1;   ///< destination leaf cache id
+  int32_t node = -1;    ///< relay/link node id (fault target, store site)
   bool is_pull = false;
 };
+static_assert(std::is_trivially_copyable_v<TraceEvent>,
+              "trace buffers copy events as raw rows");
+static_assert(sizeof(TraceEvent) <= 64, "a trace event fits one cache line");
 
 /// The (time window, object set, cache set) predicate from ObsConfig.
 /// `object < 0` / `cache < 0` act as wildcards (events that do not carry
@@ -116,6 +121,9 @@ class TraceBuffer {
 
   const std::vector<TraceEvent>& events() const { return events_; }
   int64_t dropped() const { return dropped_; }
+  /// Frees the recorded events (the merge calls this once a buffer has
+  /// nothing left to contribute).
+  void ReleaseEvents() { std::vector<TraceEvent>().swap(events_); }
 
  private:
   const TraceFilter* filter_ = nullptr;
@@ -129,9 +137,10 @@ class TraceBuffer {
 /// to RunResult as a shared_ptr; absent (null) unless obs was enabled.
 struct ObsOutput {
   TimeSeries series;
-  /// All buffers merged into one deterministic order: ascending (t, kind,
-  /// cache, node, source, object, version), ties broken by buffer id and
-  /// in-buffer sequence — every key independent of `run_threads`.
+  /// The first `max_trace_events` (all when 0) buffered events under one
+  /// total order: ascending (t, kind, cache, node, source, object, version,
+  /// buffer id, in-buffer sequence) — every key independent of
+  /// `run_threads`.
   std::vector<TraceEvent> trace;
   /// Events lost to the per-buffer caps plus merge-stage truncation.
   int64_t trace_dropped = 0;
@@ -175,7 +184,9 @@ class ObsCollector {
   void NoteTick(double t);
 
   /// Merges the buffers and moves everything into an ObsOutput. Call once,
-  /// after the run.
+  /// after the run. Costs O(recorded) to select the kept events plus
+  /// O(kept log kept) to order them; each buffer is freed as soon as its
+  /// last kept event is copied out.
   std::shared_ptr<ObsOutput> Finish();
 
  private:

@@ -110,24 +110,6 @@ int64_t Rng::Poisson(double mean) {
   }
 }
 
-double Rng::Normal(double mean, double stddev) {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return mean + stddev * cached_normal_;
-  }
-  // Box-Muller.
-  double u1;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  const double u2 = NextDouble();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = radius * std::sin(theta);
-  has_cached_normal_ = true;
-  return mean + stddev * radius * std::cos(theta);
-}
-
 int64_t Rng::Zipf(int64_t n, double s) {
   BESYNC_CHECK_GE(n, 1);
   // Rejection-inversion sampling (Hormann & Derflinger) works for any s > 0,
@@ -171,6 +153,24 @@ Rng Rng::Split(uint64_t key) const {
     seed ^= SplitMix64(&sm);
   }
   return Rng(seed);
+}
+
+double NormalSampler::Next(double mean, double stddev) {
+  if (has_cached_) {
+    has_cached_ = false;
+    return mean + stddev * cached_;
+  }
+  // Box-Muller.
+  double u1;
+  do {
+    u1 = rng_->NextDouble();
+  } while (u1 <= 0.0);
+  const double u2 = rng_->NextDouble();
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  cached_ = radius * std::sin(theta);
+  has_cached_ = true;
+  return mean + stddev * radius * std::cos(theta);
 }
 
 }  // namespace besync

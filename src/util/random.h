@@ -42,9 +42,6 @@ class Rng {
   /// small means and a transformed-rejection method for large means.
   int64_t Poisson(double mean);
 
-  /// Normal (Gaussian) with the given mean and standard deviation.
-  double Normal(double mean, double stddev);
-
   /// Zipf-distributed integer in [1, n]: P(k) proportional to 1/k^s.
   /// Used for importance/popularity skew in the web-index example.
   int64_t Zipf(int64_t n, double s);
@@ -71,9 +68,24 @@ class Rng {
 
  private:
   uint64_t state_[4];
-  // Cached second value from the Box-Muller transform.
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
+};
+// Every per-object runtime carries one Rng: keep it to the bare state.
+static_assert(sizeof(Rng) == 32, "Rng is its 256-bit state and nothing else");
+
+/// Normal (Gaussian) draws over an Rng by the Box-Muller transform. Each
+/// transform yields two values; the second is cached here rather than in
+/// the Rng, so the generators that never draw normals carry no cache.
+class NormalSampler {
+ public:
+  explicit NormalSampler(Rng* rng) : rng_(rng) {}
+
+  /// Normal with the given mean and standard deviation.
+  double Next(double mean, double stddev);
+
+ private:
+  Rng* rng_;
+  bool has_cached_ = false;
+  double cached_ = 0.0;
 };
 
 }  // namespace besync

@@ -86,10 +86,11 @@ TEST(QuantileDigestTest, MergeIsDeterministic) {
   // Four shards of one fixed-seed stream, merged in a fixed order twice:
   // both merged digests must agree bitwise on every quantile.
   Rng rng(77);
+  NormalSampler normal(&rng);
   std::vector<QuantileDigest> shards_a(4, QuantileDigest(128));
   std::vector<QuantileDigest> shards_b(4, QuantileDigest(128));
   std::vector<double> values;
-  for (int i = 0; i < 20000; ++i) values.push_back(rng.Normal(10.0, 3.0));
+  for (int i = 0; i < 20000; ++i) values.push_back(normal.Next(10.0, 3.0));
   for (size_t i = 0; i < values.size(); ++i) {
     shards_a[i % 4].Add(values[i]);
     shards_b[i % 4].Add(values[i]);

@@ -170,8 +170,9 @@ INSTANTIATE_TEST_SUITE_P(SmallAndLargeMeans, PoissonMeanTest,
 
 TEST(RngTest, NormalMoments) {
   Rng rng(77);
+  NormalSampler normal(&rng);
   RunningStat stat;
-  for (int i = 0; i < 100000; ++i) stat.Add(rng.Normal(3.0, 2.0));
+  for (int i = 0; i < 100000; ++i) stat.Add(normal.Next(3.0, 2.0));
   EXPECT_NEAR(stat.mean(), 3.0, 0.05);
   EXPECT_NEAR(stat.stddev(), 2.0, 0.05);
 }
